@@ -6,7 +6,8 @@ Subcommands:
   verify    --suite S [--k-max K] [--n-max N]
   zeta      --k K
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or out of
+memory.
 All numeric output is exact; the only floating-point rendering is the
 clearly-marked decimal approximation printed by `zeta`.
 """
@@ -32,14 +33,13 @@ ROWS_CAP_ENV = "POWERSUMKIT_ROWS_CAP"
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
-def _rows_cap() -> int:
+def _rows_cap(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(ROWS_CAP_ENV)
     if raw is None:
         return DEFAULT_ROWS_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_ROWS_CAP
+    if not (raw.isascii() and raw.isdigit()):
+        parser.error(f"{ROWS_CAP_ENV} must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 _FAMILIES: Dict[str, Callable[[int, int], object]] = {
@@ -75,7 +75,7 @@ def render_table(family: str, rows: int, fmt: str) -> str:
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cap = _rows_cap()
+    cap = _rows_cap(parser)
     if args.rows < 0 or args.rows > cap:
         parser.error(f"--rows must be in [0, {cap}]")
     sys.stdout.write(render_table(args.family, args.rows, args.format))
@@ -93,12 +93,11 @@ def _cmd_powersum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         verdict = "OK" if len(set(values.values())) == 1 else "MISMATCH"
         print(f"concordance: {verdict}")
         return 0 if verdict == "OK" else 1
-    method = ps.Method(args.method)
     try:
-        value = ps.compute(method, k, n, r)
+        value = ps.compute(args.method, k, n, r)
     except ValueError as exc:
         parser.error(str(exc))
-    print(f"{method.value}: {value}")
+    print(f"{args.method}: {value}")
     return 0
 
 
@@ -159,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    try:
+        return args.fn(args, parser)
+    except MemoryError:
+        parser.exit(2, f"{parser.prog}: error: out of memory; try smaller inputs\n")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ defined through their symmetric-function characterizations, delegating to
 symfuncs; the classical Stirling triangles use their own recurrences so
 the sigma/h identities are real cross-checks.
 
-All functions are pure and memoized; cached values are write-once and the
-caches tolerate racing writers (any two computations of a key agree).
+All functions are pure.  The Stirling rows and the Bernoulli numbers are
+built bottom-up in `tables.recurrence` tables; the sigma/h values are kept
+in point caches of fixed size.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import List, Tuple
+from typing import Tuple
 
-from .exact import Poly
+from .exact import Poly, _as_int
 from .sequences import SequenceSpec
 from .symfuncs import complete_prefix, elementary_prefix
+from .tables import POINT_CACHE_SIZE, recurrence
 
 __all__ = [
     "Parity",
@@ -59,16 +61,15 @@ def binomial(n: int, k: int) -> int:
 
 # -- classical Stirling triangles (own recurrences) -------------------------
 
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> Tuple[int, ...]:
+@recurrence
+def _stirling1_row(rows, n: int) -> Tuple[int, ...]:
     # c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k)
     if n == 0:
         return (1,)
-    prev = _stirling1_row(n - 1)
+    prev = rows[n - 1]
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = prev[k - 1] + (0 if k == n else (n - 1) * prev[k])
-    row[0] = 0
     return tuple(row)
 
 
@@ -81,12 +82,12 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     return _stirling1_row(n)[k]
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> Tuple[int, ...]:
+@recurrence
+def _stirling2_row(rows, n: int) -> Tuple[int, ...]:
     # S(n, k) = k * S(n-1, k) + S(n-1, k-1)
     if n == 0:
         return (1,)
-    prev = _stirling2_row(n - 1)
+    prev = rows[n - 1]
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = prev[k - 1] + (0 if k == n else k * prev[k])
@@ -104,18 +105,14 @@ def stirling_second(n: int, k: int) -> int:
 
 # -- symmetric-function-backed families -------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POINT_CACHE_SIZE)
 def _sigma_int(seq: SequenceSpec, m: int) -> int:
-    v = elementary_prefix(seq, m)[m]
-    assert v.denominator == 1
-    return v.numerator
+    return _as_int(elementary_prefix(seq, m)[m], f"sigma_{m} of {seq.tag}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POINT_CACHE_SIZE)
 def _h_int(seq: SequenceSpec, m: int) -> int:
-    v = complete_prefix(seq, m)[m]
-    assert v.denominator == 1
-    return v.numerator
+    return _as_int(complete_prefix(seq, m)[m], f"h_{m} of {seq.tag}")
 
 
 def r_stirling_first(n: int, k: int, r: int) -> int:
@@ -195,23 +192,24 @@ def legendre_stirling_second(n: int, j: int) -> int:
 
 # -- Bernoulli numbers and polynomials --------------------------------------
 
-@lru_cache(maxsize=None)
+@recurrence
+def _bernoulli(terms, k: int) -> Fraction:
+    if k == 0:
+        return Fraction(1)
+    s = sum(Fraction(comb(k + 1, j)) * terms[j] for j in range(k))
+    return -s / (k + 1)
+
+
 def bernoulli_number(k: int) -> Fraction:
     """B_k with the convention B_1 = -1/2, from the recurrence
     sum_{j=0}^{k} C(k+1, j) B_j = 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    s = sum(Fraction(comb(k + 1, j)) * bernoulli_number(j) for j in range(k))
-    return -s / (k + 1)
+    return _bernoulli(k)
 
 
 def bernoulli_polynomial(k: int) -> Poly:
     """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    coeffs: List[Fraction] = [Fraction(0)] * (k + 1)
-    for i in range(k + 1):
-        coeffs[k - i] = comb(k, i) * bernoulli_number(i)
-    return Poly(coeffs)
+    return Poly(comb(k, d) * _bernoulli(k - d) for d in range(k + 1))

@@ -13,7 +13,17 @@ from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["rational", "Poly", "PiPower"]
+__all__ = ["ConsistencyError", "rational", "Poly", "PiPower"]
+
+
+class ConsistencyError(ArithmeticError):
+    """An internal identity that must hold exactly failed to."""
+
+
+def _as_int(x: Fraction, what: str) -> int:
+    if x.denominator != 1:
+        raise ConsistencyError(f"{what} produced non-integer value {x}")
+    return x.numerator
 
 
 def rational(num: Scalar, den: Scalar = 1) -> Fraction:

@@ -2,7 +2,7 @@
 concordance sweep is a real cross-check rather than a tautology.
 
 S_k(n) denotes 1^k + 2^k + ... + n^k, with 0^0 = 1 so that S_0(n) = n.
-Rational-returning forms assert integrality at the boundary; a non-integer
+Rational-returning forms check integrality at the boundary; a non-integer
 result raises ConsistencyError rather than being rounded.
 """
 
@@ -26,6 +26,8 @@ from .combinatorics import (
     stirling_first_unsigned,
     stirling_second,
 )
+from .exact import ConsistencyError, _as_int
+from .tables import POINT_CACHE_SIZE
 
 __all__ = [
     "ConsistencyError",
@@ -46,10 +48,6 @@ __all__ = [
 ]
 
 
-class ConsistencyError(ArithmeticError):
-    """An internal identity that must hold exactly failed to."""
-
-
 class Method(str, Enum):
     BRUTE = "brute"
     LANG_ORIGINAL = "lang-original"
@@ -64,19 +62,13 @@ class Method(str, Enum):
     TRIANGULAR_BINOMIAL = "triangular-binomial"
 
 
-def _check_query(k: int, n: int, r: int = 1) -> None:
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _check_query(k: int, n: int, r: int = 1, k_min: int = 0) -> None:
+    if k < k_min:
+        raise ValueError(f"k must be >= {k_min}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 1 or r > n:
         raise ValueError("need 1 <= r <= n")
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ConsistencyError(f"{what} produced non-integer value {x}")
-    return x.numerator
 
 
 def s_brute(k: int, n: int, r: int = 1) -> int:
@@ -109,47 +101,42 @@ def s_lang_refined(k: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _sigma_naturals(n: int, m: int) -> int:
-    # sigma_m(1..n) through the first-kind Stirling triangle
-    return stirling_first_unsigned(n + 1, n + 1 - m)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POINT_CACHE_SIZE)
 def s_newton_recurrence(k: int, n: int) -> int:
     """S_m(n) = (-1)^(m-1) m sigma_m(n) - sum_{j=1}^{m-1} (-1)^j
-    sigma_j(n) S_{m-j}(n), recursing on m."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
-    sign = 1 if (k - 1) % 2 == 0 else -1
-    total = sign * k * _sigma_naturals(n, k)
-    for j in range(1, k):
-        term = _sigma_naturals(n, j) * s_newton_recurrence(k - j, n)
-        total += term if j % 2 else -term
-    return total
+    sigma_j(n) S_{m-j}(n), built up from m = 1; sigma_j(n) = [n+1, n+1-j]."""
+    _check_query(k, n, k_min=1)
+    sigma = [stirling_first_unsigned(n + 1, n + 1 - j) for j in range(k + 1)]
+    sums = [n]  # S_0(n) = n, never read
+    for m in range(1, k + 1):
+        total = (-1) ** (m - 1) * m * sigma[m]
+        for j in range(1, m):
+            term = sigma[j] * sums[m - j]
+            total += term if j % 2 else -term
+        sums.append(total)
+    return sums[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POINT_CACHE_SIZE)
 def s_binomial_recurrence(k: int, n: int) -> int:
-    """S_m(n) = m! C(n+m, m+1) - sum_{j=1}^{m-1} sigma_j(m-1) S_{m-j}(n).
+    """S_m(n) = m! C(n+m, m+1) - sum_{j=1}^{m-1} sigma_j(m-1) S_{m-j}(n),
+    built up from m = 1.
 
-    Note the inner sigma is over 1..m-1, not 1..n.
+    Note the inner sigma is over 1..m-1, not 1..n: sigma_j(m-1) = [m, m-j].
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
-    total = factorial(k) * comb(n + k, k + 1)
-    for j in range(1, k):
-        total -= _sigma_naturals(k - 1, j) * s_binomial_recurrence(k - j, n)
-    return total
+    _check_query(k, n, k_min=1)
+    sums = [n]  # S_0(n) = n, never read
+    for m in range(1, k + 1):
+        total = factorial(m) * comb(n + m, m + 1)
+        for j in range(1, m):
+            total -= stirling_first_unsigned(m, m - j) * sums[m - j]
+        sums.append(total)
+    return sums[k]
 
 
 def s_range(k: int, n: int, r: int) -> int:
     """r^k + (r+1)^k + ... + n^k via the r-Stirling numbers."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n, r)
+    _check_query(k, n, r, k_min=1)
     total = 0
     for m in range(1, k + 1):
         term = m * r_stirling_first(n + 1, n + 1 - m, r) \
@@ -161,9 +148,7 @@ def s_range(k: int, n: int, r: int) -> int:
 def s_even_powers(k: int, n: int) -> int:
     """1^(2k) + 2^(2k) + ... + n^(2k) via even-index central factorial
     numbers: -sum_m m u(n+1, n+1-m) U(n+k-m, n)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     total = 0
     for m in range(1, k + 1):
         total += m * central_factorial_first(n + 1, n + 1 - m, Parity.EVEN) \
@@ -174,9 +159,7 @@ def s_even_powers(k: int, n: int) -> int:
 def s_odd_even_powers(k: int, n: int) -> int:
     """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) via odd-index central factorial
     numbers: -sum_m m v(n, n-m) V(n-1+k-m, n-1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     total = 0
     for m in range(1, k + 1):
         total += m * central_factorial_first(n, n - m, Parity.ODD) \
@@ -187,9 +170,7 @@ def s_odd_even_powers(k: int, n: int) -> int:
 def s_odd_even_powers_poly(k: int, n: int) -> int:
     """Same odd-base power sum as a polynomial in n:
     (2^(2k)/(2k+1)) sum_j C(2k+1, 2j+1) B_{2k-2j}(1/2) n^(2j+1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     half = Fraction(1, 2)
     total = Fraction(0)
     for j in range(0, k + 1):
@@ -202,9 +183,7 @@ def s_odd_even_powers_poly(k: int, n: int) -> int:
 def triangular_sum_ls(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k via Legendre-Stirling numbers:
     -(1/2^k) sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     total = 0
     for m in range(1, k + 1):
         total += m * legendre_stirling_first(n + 1, n + 1 - m) \
@@ -219,9 +198,7 @@ def triangular_sum_binomial(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with the
     Bernoulli-polynomial form of S_{k+j}(n) computed alongside and the two
     asserted equal."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     via_sums = Fraction(0)
     via_bernoulli = Fraction(0)
     for j in range(0, k + 1):
@@ -237,9 +214,7 @@ def triangular_sum_binomial(k: int, n: int) -> int:
 
 def ones_identity_residual(k: int, n: int) -> int:
     """sum_{m=1}^{k} (-1)^(m-1) m C(n,m) C(n+k-m-1, k-m) minus n; zero."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_query(k, n)
+    _check_query(k, n, k_min=1)
     total = 0
     for m in range(1, k + 1):
         term = m * comb(n, m) * comb(n + k - m - 1, k - m)
@@ -249,48 +224,42 @@ def ones_identity_residual(k: int, n: int) -> int:
 
 # -- dispatch ---------------------------------------------------------------
 
+# Method -> function; the first six compute r^k + ... + n^k
+_METHODS = {
+    Method.BRUTE: s_brute,
+    Method.LANG_ORIGINAL: s_lang_original,
+    Method.LANG_REFINED: s_lang_refined,
+    Method.NEWTON_RECURRENCE: s_newton_recurrence,
+    Method.BINOMIAL_RECURRENCE: s_binomial_recurrence,
+    Method.RANGE_R_STIRLING: s_range,
+    Method.EVEN_CENTRAL: s_even_powers,
+    Method.ODD_CENTRAL: s_odd_even_powers,
+    Method.ODD_BERNOULLI_POLY: s_odd_even_powers_poly,
+    Method.TRIANGULAR_LS: triangular_sum_ls,
+    Method.TRIANGULAR_BINOMIAL: triangular_sum_binomial,
+}
+_PLAIN_SUMS = tuple(_METHODS)[:6]
+_TAKES_R = (Method.BRUTE, Method.RANGE_R_STIRLING)
+_TAKES_K0 = (Method.BRUTE, Method.LANG_ORIGINAL, Method.LANG_REFINED)
+
+
 def compute(method: Method, k: int, n: int, r: int = 1):
-    """Evaluate one method.  Methods other than brute and range-r-stirling
-    require r == 1."""
-    if method not in (Method.BRUTE, Method.RANGE_R_STIRLING) and r != 1:
-        raise ValueError(f"method {method.value} does not support r > 1")
-    if method is Method.BRUTE:
-        return s_brute(k, n, r)
-    if method is Method.LANG_ORIGINAL:
-        return s_lang_original(k, n)
-    if method is Method.LANG_REFINED:
-        return s_lang_refined(k, n)
-    if method is Method.NEWTON_RECURRENCE:
-        return s_newton_recurrence(k, n)
-    if method is Method.BINOMIAL_RECURRENCE:
-        return s_binomial_recurrence(k, n)
-    if method is Method.RANGE_R_STIRLING:
-        return s_range(k, n, r)
-    if method is Method.EVEN_CENTRAL:
-        return s_even_powers(k, n)
-    if method is Method.ODD_CENTRAL:
-        return s_odd_even_powers(k, n)
-    if method is Method.ODD_BERNOULLI_POLY:
-        return s_odd_even_powers_poly(k, n)
-    if method is Method.TRIANGULAR_LS:
-        return triangular_sum_ls(k, n)
-    if method is Method.TRIANGULAR_BINOMIAL:
-        return triangular_sum_binomial(k, n)
-    raise ValueError(f"unknown method {method!r}")
+    """Evaluate one method, given as a Method or its string value.
+    Methods other than brute and range-r-stirling require r == 1."""
+    fn = _METHODS.get(method)
+    if fn is None:
+        raise ValueError(f"unknown method {method!r}")
+    if method in _TAKES_R:
+        return fn(k, n, r)
+    if r != 1:
+        raise ValueError(f"method {Method(method).value} does not support r > 1")
+    return fn(k, n)
 
 
 def plain_sum_methods(k: int, r: int) -> List[Method]:
     """Methods that compute r^k + ... + n^k and can be cross-checked."""
-    if r > 1:
-        methods = [Method.BRUTE]
-        if k >= 1:
-            methods.append(Method.RANGE_R_STIRLING)
-        return methods
-    methods = [Method.BRUTE, Method.LANG_ORIGINAL, Method.LANG_REFINED]
-    if k >= 1:
-        methods += [Method.NEWTON_RECURRENCE, Method.BINOMIAL_RECURRENCE,
-                    Method.RANGE_R_STIRLING]
-    return methods
+    return [m for m in _PLAIN_SUMS
+            if (r == 1 or m in _TAKES_R) and (k >= 1 or m in _TAKES_K0)]
 
 
 def concordance(k: int, n: int, r: int = 1) -> Dict[Method, int]:

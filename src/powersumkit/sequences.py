@@ -14,6 +14,17 @@ from typing import Iterable, Tuple
 
 __all__ = ["SequenceSpec"]
 
+# tag -> term i; a spec holds terms start..n ("explicit" holds its values)
+_TERMS = {
+    "naturals": Fraction,
+    "ones": lambda i: Fraction(1),
+    "squares": lambda i: Fraction(i * i),
+    "odd_squares": lambda i: Fraction((2 * i - 1) ** 2),
+    "doubled_triangulars": lambda i: Fraction(i * (i + 1)),
+    "inverse_squares": lambda i: Fraction(1, i * i),
+    "explicit": None,
+}
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -21,6 +32,10 @@ class SequenceSpec:
     n: int = 0
     start: int = 1
     explicit_values: Tuple[Fraction, ...] = field(default=())
+
+    def __post_init__(self):
+        if self.tag not in _TERMS:
+            raise ValueError(f"unknown sequence tag {self.tag!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -60,28 +75,11 @@ class SequenceSpec:
     # -- expansion ---------------------------------------------------------
 
     def values(self) -> Tuple[Fraction, ...]:
-        tag = self.tag
-        if tag == "explicit":
+        if self.tag == "explicit":
             return self.explicit_values
         if self.n < 0:
             raise ValueError("sequence length must be >= 0")
-        if tag == "naturals":
-            return tuple(Fraction(i) for i in range(self.start, self.n + 1))
-        if tag == "ones":
-            return (Fraction(1),) * self.n
-        if tag == "squares":
-            return tuple(Fraction(i * i) for i in range(1, self.n + 1))
-        if tag == "odd_squares":
-            return tuple(Fraction((2 * i - 1) ** 2) for i in range(1, self.n + 1))
-        if tag == "doubled_triangulars":
-            return tuple(Fraction(i * (i + 1)) for i in range(1, self.n + 1))
-        if tag == "inverse_squares":
-            return tuple(Fraction(1, i * i) for i in range(1, self.n + 1))
-        raise ValueError(f"unknown sequence tag {tag!r}")
+        return tuple(map(_TERMS[self.tag], range(self.start, self.n + 1)))
 
     def __len__(self) -> int:
-        if self.tag == "explicit":
-            return len(self.explicit_values)
-        if self.tag == "naturals":
-            return max(0, self.n - self.start + 1)
-        return self.n
+        return len(self.values())

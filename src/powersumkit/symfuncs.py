@@ -4,7 +4,7 @@ the Newton-Girard machinery over exact finite sequences.
 All functions accept either a SequenceSpec or any iterable of ints /
 Fractions.  Values are always Fractions, even when integer-valued, so the
 inverse-squares sequence flows through the same code path; integer-valued
-callers assert unit denominators at their own boundary.
+callers check unit denominators at their own boundary (ConsistencyError).
 """
 
 from __future__ import annotations

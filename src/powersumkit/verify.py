@@ -79,21 +79,16 @@ def _concordance(rep: VerifyReport, k_max, n_max) -> None:
         rep.check(f"concordance k=0 n={n} lang-refined", n, ps.s_lang_refined(0, n))
 
 
-_ORTHO_TAGS = {
-    "naturals": SequenceSpec.naturals,
-    "squares": SequenceSpec.squares,
-    "odd_squares": SequenceSpec.odd_squares,
-    "doubled_triangulars": SequenceSpec.doubled_triangulars,
-}
+_ORTHO_TAGS = ("naturals", "squares", "odd_squares", "doubled_triangulars")
 
 
 @_suite("orthogonality")
 def _orthogonality(rep: VerifyReport, k_max, n_max) -> None:
     k_max = k_max or 15
     n_max = n_max or 12
-    for tag, make in _ORTHO_TAGS.items():
+    for tag in _ORTHO_TAGS:
         for n in range(0, n_max + 1):
-            seq = make(n)
+            seq = SequenceSpec(tag, n)
             for k in range(0, k_max + 1):
                 expected = Fraction(1 if k == 0 else 0)
                 rep.check(f"orthogonality {tag} n={n} k={k}",
@@ -208,6 +203,4 @@ def run_suite(name: str, k_max: Optional[int] = None,
             total.merge(fn(k_max, n_max))
         total.elapsed = time.perf_counter() - start
         return total
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](k_max, n_max)

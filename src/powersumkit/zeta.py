@@ -8,11 +8,11 @@ h_inverse_squares_check is a verification op only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial, legendre_stirling_first, legendre_stirling_second
 from .exact import PiPower
+from .tables import recurrence
 
 __all__ = [
     "sigma_inverse_squares",
@@ -32,27 +32,25 @@ def sigma_inverse_squares(k: int) -> PiPower:
     return PiPower(Fraction(1, factorial(2 * k + 1)), k)
 
 
-@lru_cache(maxsize=None)
-def _zeta_coeff(k: int) -> Fraction:
-    # zeta(2k) = (-1)^(k-1) k pi^(2k)/(2k+1)!
-    #            + sum_{m=1}^{k-1} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
-    #              (1 - 2^(2(m-k)+1)) zeta(2k-2m)
-    # tracked as the rational coefficient of pi^(2k); the sum is empty at k=1
-    head = Fraction(k, factorial(2 * k + 1))
-    if (k - 1) % 2:
-        head = -head
-    total = head
-    for m in range(1, k):
+@recurrence
+def _zeta_coeff(coeffs, k: int) -> Fraction:
+    # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
+    #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,
+    # as the coefficient of pi^(2k); the m = k term is (-1)^(k-1) k/(2k+1)!
+    if k == 0:
+        return Fraction(-1, 2)
+    total = Fraction(0)
+    for m in range(1, k + 1):
         factor = Fraction(2 * m, factorial(2 * m + 1)) \
             * (1 - Fraction(2, 4 ** (k - m)))
-        term = factor * _zeta_coeff(k - m)
+        term = factor * coeffs[k - m]
         total += term if (m - 1) % 2 == 0 else -term
     return total
 
 
 def zeta_even_exact(k: int) -> PiPower:
-    """zeta(2k) as an exact rational multiple of pi^(2k), by the memoized
-    recursion built from the inverse-squares symmetric functions."""
+    """zeta(2k) as an exact rational multiple of pi^(2k), by the recursion
+    built from the inverse-squares symmetric functions, filled bottom-up."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return PiPower(_zeta_coeff(k), k)
@@ -76,16 +74,11 @@ def h_inverse_squares_check(k: int) -> Fraction:
     p_k = zeta(2k).  Zero when the algebra is consistent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def h_coeff(m: int) -> Fraction:
-        # coefficient of pi^(2m) in h_m of the inverse squares
-        if m == 0:
-            return Fraction(1)
-        return Fraction(2 ** (2 * m) - 2, 2 ** (2 * m - 1)) * _zeta_coeff(m)
-
     rhs = Fraction(0)
     for m in range(1, k + 1):
-        term = m * Fraction(1, factorial(2 * m + 1)) * h_coeff(k - m)
+        # coefficient of pi^(2j) in h_j, j = k - m; zeta(0) = -1/2 gives h_0 = 1
+        h = Fraction(2 * (4 ** (k - m) - 2), 4 ** (k - m)) * _zeta_coeff(k - m)
+        term = m * Fraction(1, factorial(2 * m + 1)) * h
         rhs += term if (m - 1) % 2 == 0 else -term
     return _zeta_coeff(k) - rhs
 
@@ -117,7 +110,6 @@ def merca_ls_bernoulli_identity(k: int, n: int) -> Fraction:
     return lhs - rhs
 
 
-@lru_cache(maxsize=None)
 def bernoulli_even_recursion(k: int) -> Fraction:
     """B_{2k} computed solely from
     B_{2k} = (2/(2k+1)) sum_{j=1}^{k} j C(2k+1, 2j+1)
@@ -125,13 +117,10 @@ def bernoulli_even_recursion(k: int) -> Fraction:
     with base value B_0 = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def b_even(i: int) -> Fraction:
-        return Fraction(1) if i == 0 else bernoulli_even_recursion(i)
-
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        total += j * comb(2 * k + 1, 2 * j + 1) \
-            * (Fraction(1, 2 ** (2 * k - 1)) - Fraction(1, 2 ** (2 * j))) \
-            * b_even(k - j)
-    return Fraction(2, 2 * k + 1) * total
+    b_even = [Fraction(1)]  # B_0, B_2, ..., B_{2i}
+    for i in range(1, k + 1):
+        total = sum(j * comb(2 * i + 1, 2 * j + 1)
+                    * (Fraction(1, 2 ** (2 * i - 1)) - Fraction(1, 2 ** (2 * j)))
+                    * b_even[i - j] for j in range(1, i + 1))
+        b_even.append(Fraction(2, 2 * i + 1) * total)
+    return b_even[k]

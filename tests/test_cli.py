@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,12 @@ class TestTable:
         assert run(["table", "--family", "stirling2", "--rows", "6"]) == 2
         monkeypatch.setenv("POWERSUMKIT_ROWS_CAP", "100")
         assert run(["table", "--family", "stirling2", "--rows", "70"]) == 0
+
+    def test_bad_rows_cap_env_is_usage_error(self, monkeypatch, capsys):
+        for raw in ("junk", "-5"):
+            monkeypatch.setenv("POWERSUMKIT_ROWS_CAP", raw)
+            assert run(["table", "--family", "stirling2", "--rows", "3"]) == 2
+            assert "POWERSUMKIT_ROWS_CAP" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_json_round_trip(self, family):
@@ -144,3 +155,21 @@ class TestZeta:
 
 def test_no_command_is_usage_error():
     assert run([]) == 2
+
+
+def test_out_of_memory_is_exit_2_without_traceback():
+    limit = 256 << 20  # address space; the command below needs gigabytes
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersumkit.cli", "powersum", "--k", "3",
+         "--n", "3000", "--method", "lang-refined"],
+        preexec_fn=cap_memory, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "out of memory" in proc.stderr

@@ -16,8 +16,10 @@ from powersumkit.combinatorics import (
     r_stirling_second,
     stirling_first_unsigned,
     stirling_second,
+    _sigma_int,
     _stirling1_row,
 )
+from powersumkit.exact import ConsistencyError
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
 from powersumkit.sequences import SequenceSpec
 from powersumkit.symfuncs import complete_prefix, elementary_prefix
@@ -68,10 +70,16 @@ class TestStirling:
             assert stirling_second(n + m, n) == h[m]
 
     def test_cache_transparency(self):
-        # a cached row equals an uncached recomputation
-        cached = _stirling1_row(9)
-        fresh = _stirling1_row.__wrapped__(9)
-        assert cached == fresh
+        # a row read after clearing the table equals the row grown before
+        grown = _stirling1_row(9)
+        _stirling1_row.cache_clear()
+        assert _stirling1_row.cache_info().currsize == 0
+        assert _stirling1_row(9) == grown
+
+
+def test_non_integer_sigma_is_consistency_error():
+    with pytest.raises(ConsistencyError):
+        _sigma_int(SequenceSpec.inverse_squares(3), 1)
 
 
 class TestRStirling:

@@ -146,3 +146,12 @@ def test_concordance_all_methods(n):
 def test_compute_rejects_r_for_non_range_methods():
     with pytest.raises(ValueError):
         compute(Method.LANG_REFINED, 2, 5, r=2)
+
+
+def test_compute_accepts_method_string_values():
+    assert compute("brute", 3, 4) == 100
+    assert compute("range-r-stirling", 2, 4, 2) == 29
+    for method in Method:
+        assert compute(method.value, 2, 3) == compute(method, 2, 3)
+    with pytest.raises(ValueError):
+        compute("bogus", 3, 4)

@@ -141,3 +141,8 @@ def test_pn_coefficient_law(n):
     assert poly.degree == n - 1
     for m in range(n):
         assert poly.coeff(m) == (n - m) * (-1) ** m * sigma[m]
+
+
+def test_unknown_sequence_tag_fails_at_construction():
+    with pytest.raises(ValueError):
+        SequenceSpec("bogus", 3)
