@@ -3,60 +3,15 @@ triangles, symmetric-function identities, and even zeta values.
 
 Everything is computed in exact arbitrary-precision arithmetic (Python
 ints and Fractions); floating point appears only in CLI presentation.
+The package exports the ``__all__`` of each layer below.
 """
 
-from .exact import PiPower, Poly, rational
-from .sequences import SequenceSpec
-from .symfuncs import (
-    complete_prefix,
-    elementary_prefix,
-    newton_girard_power_sums,
-    orthogonality_residual,
-    pn_polynomial_coeffs,
-    power_sum_via_lang,
-    power_sums_direct,
-)
-from .combinatorics import (
-    Parity,
-    bernoulli_number,
-    bernoulli_polynomial,
-    binomial,
-    central_factorial_first,
-    central_factorial_second,
-    legendre_stirling_first,
-    legendre_stirling_second,
-    r_stirling_first,
-    r_stirling_second,
-    stirling_first_unsigned,
-    stirling_second,
-)
-from .powersums import (
-    ConsistencyError,
-    Method,
-    compute,
-    concordance,
-    ones_identity_residual,
-    s_binomial_recurrence,
-    s_brute,
-    s_even_powers,
-    s_lang_original,
-    s_lang_refined,
-    s_newton_recurrence,
-    s_odd_even_powers,
-    s_odd_even_powers_poly,
-    s_range,
-    triangular_sum_binomial,
-    triangular_sum_ls,
-)
-from .zeta import (
-    bernoulli_binomial_identity,
-    bernoulli_even_recursion,
-    h_inverse_squares_check,
-    merca_ls_bernoulli_identity,
-    sigma_inverse_squares,
-    zeta_even_classical,
-    zeta_even_exact,
-)
-from .verify import SUITES, VerifyReport, run_suite
+from .exact import *
+from .sequences import *
+from .symfuncs import *
+from .combinatorics import *
+from .powersums import *
+from .zeta import *
+from .verify import *
 
 __version__ = "0.1.0"

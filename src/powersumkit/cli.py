@@ -84,25 +84,25 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_powersum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     k, n, r = args.k, args.n, args.r
-    if k < 0 or n < 1 or r < 1 or r > n:
-        parser.error("need k >= 0, n >= 1, 1 <= r <= n")
-    if args.method == "all":
-        values = ps.concordance(k, n, r)
-        for method, value in values.items():
-            print(f"{method.value}: {value}")
-        verdict = "OK" if len(set(values.values())) == 1 else "MISMATCH"
-        print(f"concordance: {verdict}")
-        return 0 if verdict == "OK" else 1
     try:
-        value = ps.compute(args.method, k, n, r)
+        if args.method != "all":
+            print(f"{args.method}: {ps.compute(args.method, k, n, r)}")
+            return 0
+        values = ps.concordance(k, n, r)
     except ValueError as exc:
         parser.error(str(exc))
-    print(f"{args.method}: {value}")
-    return 0
+    for method, value in values.items():
+        print(f"{method.value}: {value}")
+    verdict = "OK" if len(set(values.values())) == 1 else "MISMATCH"
+    print(f"concordance: {verdict}")
+    return 0 if verdict == "OK" else 1
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    report = run_suite(args.suite, args.k_max, args.n_max)
+    try:
+        report = run_suite(args.suite, args.k_max, args.n_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     for cell, expected, actual in report.failures:
         print(f"FAIL {cell}: expected {expected}, got {actual}")
     print(report.summary())
@@ -111,9 +111,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _cmd_zeta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     k = args.k
-    if k < 1:
-        parser.error("--k must be >= 1")
-    value = zeta_even_exact(k)
+    try:
+        value = zeta_even_exact(k)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"zeta({2 * k}) = {value.coeff} · π^{2 * k}")
     approx = value.coeff * PI_50 ** (2 * k)
     print(f"zeta({2 * k}) ≈ {float(approx):.15g}  (decimal rendering only)")

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: rationals, dense rational polynomials, and
-rational multiples of even powers of pi.
+"""Exact arithmetic substrate: dense rational polynomials and rational
+multiples of even powers of pi.
 
 Everything here is immutable and pure; no floating point appears in any
 computation path.
@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["ConsistencyError", "rational", "Poly", "PiPower"]
+__all__ = ["ConsistencyError", "Poly", "PiPower"]
 
 
 class ConsistencyError(ArithmeticError):
@@ -24,16 +24,6 @@ def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise ConsistencyError(f"{what} produced non-integer value {x}")
     return x.numerator
-
-
-def rational(num: Scalar, den: Scalar = 1) -> Fraction:
-    """Lowest-terms rational with positive denominator.
-
-    Raises ValueError on a zero denominator.
-    """
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
 
 
 class Poly:
@@ -50,7 +40,7 @@ class Poly:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:

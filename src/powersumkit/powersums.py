@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List
 
@@ -27,12 +26,12 @@ from .combinatorics import (
     stirling_second,
 )
 from .exact import ConsistencyError, _as_int
-from .tables import POINT_CACHE_SIZE
 
 __all__ = [
     "ConsistencyError",
     "Method",
     "compute",
+    "concordance",
     "s_brute",
     "s_lang_original",
     "s_lang_refined",
@@ -63,6 +62,8 @@ class Method(str, Enum):
 
 
 def _check_query(k: int, n: int, r: int = 1, k_min: int = 0) -> None:
+    if type(k) is not int or type(n) is not int or type(r) is not int:
+        raise TypeError(f"k, n and r must be ints, got {k!r}, {n!r}, {r!r}")
     if k < k_min:
         raise ValueError(f"k must be >= {k_min}")
     if n < 1:
@@ -101,7 +102,6 @@ def s_lang_refined(k: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=POINT_CACHE_SIZE)
 def s_newton_recurrence(k: int, n: int) -> int:
     """S_m(n) = (-1)^(m-1) m sigma_m(n) - sum_{j=1}^{m-1} (-1)^j
     sigma_j(n) S_{m-j}(n), built up from m = 1; sigma_j(n) = [n+1, n+1-j]."""
@@ -117,7 +117,6 @@ def s_newton_recurrence(k: int, n: int) -> int:
     return sums[k]
 
 
-@lru_cache(maxsize=POINT_CACHE_SIZE)
 def s_binomial_recurrence(k: int, n: int) -> int:
     """S_m(n) = m! C(n+m, m+1) - sum_{j=1}^{m-1} sigma_j(m-1) S_{m-j}(n),
     built up from m = 1.

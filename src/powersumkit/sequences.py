@@ -3,18 +3,18 @@ are evaluated over.
 
 A SequenceSpec is a small frozen value (hashable, so usable as a cache key)
 that expands to an exact tuple of Fractions on demand.  All tags except
-``inverse_squares`` and ``explicit`` generate integer values.
+``inverse_squares`` generate integer values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 __all__ = ["SequenceSpec"]
 
-# tag -> term i; a spec holds terms start..n ("explicit" holds its values)
+# tag -> term i; a spec holds terms start..n
 _TERMS = {
     "naturals": Fraction,
     "ones": lambda i: Fraction(1),
@@ -22,7 +22,6 @@ _TERMS = {
     "odd_squares": lambda i: Fraction((2 * i - 1) ** 2),
     "doubled_triangulars": lambda i: Fraction(i * (i + 1)),
     "inverse_squares": lambda i: Fraction(1, i * i),
-    "explicit": None,
 }
 
 
@@ -31,7 +30,6 @@ class SequenceSpec:
     tag: str
     n: int = 0
     start: int = 1
-    explicit_values: Tuple[Fraction, ...] = field(default=())
 
     def __post_init__(self):
         if self.tag not in _TERMS:
@@ -68,15 +66,9 @@ class SequenceSpec:
         """1/1^2, 1/2^2, ..., 1/n^2 (finite truncation)."""
         return cls("inverse_squares", n)
 
-    @classmethod
-    def from_values(cls, values: Iterable) -> "SequenceSpec":
-        return cls("explicit", explicit_values=tuple(Fraction(v) for v in values))
-
     # -- expansion ---------------------------------------------------------
 
     def values(self) -> Tuple[Fraction, ...]:
-        if self.tag == "explicit":
-            return self.explicit_values
         if self.n < 0:
             raise ValueError("sequence length must be >= 0")
         return tuple(map(_TERMS[self.tag], range(self.start, self.n + 1)))

@@ -1,18 +1,18 @@
 """Bottom-up tables for sequences defined from their own earlier terms.
 
-The caching rule of the package: no function calls itself.  A sequence
-whose term j is built from the terms before it lives in a `recurrence`
-table, filled bottom-up, so no input is bounded by the interpreter's
-recursion limit.  Every other cache is an `lru_cache` of POINT_CACHE_SIZE.
+The caching rule of the package: no function calls itself, and a cache
+is kept only where the traffic hits it.  A sequence whose term j is built
+from the terms before it (the Stirling rows, the Bernoulli numbers, the
+zeta(2k) coefficients) lives in a `recurrence` table, filled bottom-up, so
+no input is bounded by the interpreter's recursion limit.  The only other
+caches are the fixed-size point caches on sigma/h values in
+`combinatorics`.
 """
 
 import threading
 from collections import namedtuple
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-# entries per point cache; a 64-row sigma/h table reads 2145 of them
-POINT_CACHE_SIZE = 1 << 13
 
 
 def recurrence(step):

@@ -48,12 +48,16 @@ class VerifyReport:
                 f"failures={len(self.failures)} elapsed={self.elapsed:.3f}s [{status}]")
 
 
-def _suite(name: str):
+def _suite(name: str, k: Optional[int] = None, n: Optional[int] = None):
+    """Register fn(report, k_max, n_max) as SUITES[name]; k and n are the
+    default grid bounds, None where the suite ignores that bound."""
     def wrap(fn):
         def run(k_max: Optional[int] = None, n_max: Optional[int] = None) -> VerifyReport:
+            if (k_max is not None and k_max < 1) or (n_max is not None and n_max < 1):
+                raise ValueError("k_max and n_max must be >= 1")
             report = VerifyReport(name)
             start = time.perf_counter()
-            fn(report, k_max, n_max)
+            fn(report, k if k_max is None else k_max, n if n_max is None else n_max)
             report.elapsed = time.perf_counter() - start
             report.failures.sort(key=lambda f: f[0])
             return report
@@ -65,10 +69,8 @@ def _suite(name: str):
 SUITES: Dict[str, Callable[..., VerifyReport]] = {}
 
 
-@_suite("concordance")
+@_suite("concordance", k=12, n=25)
 def _concordance(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 12
-    n_max = n_max or 25
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             expected = ps.s_brute(k, n)
@@ -82,10 +84,8 @@ def _concordance(rep: VerifyReport, k_max, n_max) -> None:
 _ORTHO_TAGS = ("naturals", "squares", "odd_squares", "doubled_triangulars")
 
 
-@_suite("orthogonality")
+@_suite("orthogonality", k=15, n=12)
 def _orthogonality(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 15
-    n_max = n_max or 12
     for tag in _ORTHO_TAGS:
         for n in range(0, n_max + 1):
             seq = SequenceSpec(tag, n)
@@ -95,19 +95,15 @@ def _orthogonality(rep: VerifyReport, k_max, n_max) -> None:
                           expected, sf.orthogonality_residual(seq, k))
 
 
-@_suite("ones")
+@_suite("ones", k=15, n=15)
 def _ones(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 15
-    n_max = n_max or 15
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             rep.check(f"ones k={k} n={n}", 0, ps.ones_identity_residual(k, n))
 
 
-@_suite("central")
+@_suite("central", k=6, n=15)
 def _central(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 6
-    n_max = n_max or 15
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             rep.check(f"central even k={k} n={n}",
@@ -119,10 +115,8 @@ def _central(rep: VerifyReport, k_max, n_max) -> None:
                       direct, ps.s_odd_even_powers_poly(k, n))
 
 
-@_suite("triangular")
+@_suite("triangular", k=6, n=12)
 def _triangular(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 6
-    n_max = n_max or 12
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             direct = sum((i * (i + 1) // 2) ** k for i in range(1, n + 1))
@@ -141,10 +135,8 @@ def _ls_tables(rep: VerifyReport, k_max, n_max) -> None:
             rep.check(f"ls2 n={n} j={j}", expected, cmb.legendre_stirling_second(n, j))
 
 
-@_suite("range")
+@_suite("range", k=8, n=10)
 def _range(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 8
-    n_max = n_max or 10
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             rep.check(f"range r=1 k={k} n={n}",
@@ -155,9 +147,8 @@ def _range(rep: VerifyReport, k_max, n_max) -> None:
                           expected, ps.s_range(k, n, r))
 
 
-@_suite("zeta")
+@_suite("zeta", k=15)
 def _zeta(rep: VerifyReport, k_max, n_max) -> None:
-    k_max = k_max or 15
     for k in range(1, k_max + 1):
         rep.check(f"zeta classical-oracle k={k}",
                   zt.zeta_even_classical(k), zt.zeta_even_exact(k))
@@ -168,23 +159,22 @@ def _zeta(rep: VerifyReport, k_max, n_max) -> None:
     rep.check("zeta k=3 coeff", Fraction(1, 945), zt.zeta_even_exact(3).coeff)
 
 
-@_suite("bernoulli")
+@_suite("bernoulli", k=25, n=8)
 def _bernoulli(rep: VerifyReport, k_max, n_max) -> None:
-    for k in range(1, (k_max or 25) + 1):
+    for k in range(1, k_max + 1):
         rep.check(f"bernoulli binomial-identity k={k}",
                   Fraction(0), zt.bernoulli_binomial_identity(k))
-    for k in range(1, min(k_max or 15, 15) + 1):
+    for k in range(1, min(k_max, 15) + 1):
         rep.check(f"bernoulli even-recursion k={k}",
                   cmb.bernoulli_number(2 * k), zt.bernoulli_even_recursion(k))
-    for k in range(1, min(k_max or 6, 6) + 1):
-        for n in range(1, (n_max or 8) + 1):
+    for k in range(1, min(k_max, 6) + 1):
+        for n in range(1, n_max + 1):
             rep.check(f"bernoulli merca-ls k={k} n={n}",
                       Fraction(0), zt.merca_ls_bernoulli_identity(k, n))
 
 
-@_suite("pn_coeffs")
+@_suite("pn_coeffs", n=12)
 def _pn_coeffs(rep: VerifyReport, k_max, n_max) -> None:
-    n_max = n_max or 12
     for n in range(1, n_max + 1):
         poly = sf.pn_polynomial_coeffs(n)
         sig = sf.elementary_prefix(SequenceSpec.naturals(n), n)

@@ -133,6 +133,14 @@ class TestVerify:
                     "--k-max", "3", "--n-max", "4"]) == 0
         assert "failures=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound", [["--k-max", "0"], ["--k-max", "-3"],
+                                       ["--n-max", "0"]])
+    def test_bound_below_1_is_usage_error(self, capsys, bound):
+        assert run(["verify", "--suite", "concordance"] + bound) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert err.splitlines()[-1].endswith("k_max and n_max must be >= 1")
+
 
 class TestZeta:
     def test_k1(self, capsys):

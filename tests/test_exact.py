@@ -4,30 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersumkit.exact import PiPower, Poly, rational
+from powersumkit.exact import PiPower, Poly
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
-
-
-def test_rational_gcd_reduction():
-    assert rational(2, 4) == Fraction(1, 2)
-
-
-def test_rational_sign_normalization():
-    r = rational(3, -6)
-    assert r == Fraction(-1, 2)
-    assert r.denominator > 0
-
-
-def test_rational_canonical_zero():
-    r = rational(0, 7)
-    assert r.numerator == 0 and r.denominator == 1
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ValueError):
-        rational(1, 0)
 
 
 class TestPoly:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from powersumkit.powersums import (
@@ -155,3 +157,16 @@ def test_compute_accepts_method_string_values():
         assert compute(method.value, 2, 3) == compute(method, 2, 3)
     with pytest.raises(ValueError):
         compute("bogus", 3, 4)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_compute_rejects_non_int_arguments(method):
+    """Floats, bools and Fractions are refused, not converted."""
+    for bad in (2.5, 2.0, True, Fraction(2)):
+        with pytest.raises(TypeError):
+            compute(method, bad, 3)
+        with pytest.raises(TypeError):
+            compute(method, 2, bad)
+        if method in (Method.BRUTE, Method.RANGE_R_STIRLING):
+            with pytest.raises(TypeError):
+                compute(method, 2, 3, bad)

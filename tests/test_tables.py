@@ -29,8 +29,7 @@ def test_deep_calls_need_no_recursion():
     """Cold tables answer deep queries under a recursion limit only a few
     dozen frames above the caller's."""
     for cached in (combinatorics._stirling1_row, combinatorics._stirling2_row,
-                   combinatorics._bernoulli, zeta._zeta_coeff,
-                   s_newton_recurrence, s_binomial_recurrence):
+                   combinatorics._bernoulli, zeta._zeta_coeff):
         cached.cache_clear()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
