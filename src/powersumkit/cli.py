@@ -6,8 +6,8 @@ Subcommands:
   verify    --suite S [--k-max K] [--n-max N]
   zeta      --k K
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or out of
-memory.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a
+ValueError from the library) or out of memory.
 All numeric output is exact; the only floating-point rendering is the
 clearly-marked decimal approximation printed by `zeta`.
 """
@@ -33,12 +33,10 @@ ROWS_CAP_ENV = "POWERSUMKIT_ROWS_CAP"
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
-def _rows_cap(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(ROWS_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ROWS_CAP
+def _rows_cap() -> int:
+    raw = os.environ.get(ROWS_CAP_ENV, str(DEFAULT_ROWS_CAP))
     if not (raw.isascii() and raw.isdigit()):
-        parser.error(f"{ROWS_CAP_ENV} must be an integer >= 0, got {raw!r}")
+        raise ValueError(f"{ROWS_CAP_ENV} must be an integer >= 0, got {raw!r}")
     return int(raw)
 
 
@@ -74,23 +72,19 @@ def render_table(family: str, rows: int, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cap = _rows_cap(parser)
+def _cmd_table(args: argparse.Namespace) -> int:
+    cap = _rows_cap()
     if args.rows < 0 or args.rows > cap:
-        parser.error(f"--rows must be in [0, {cap}]")
+        raise ValueError(f"--rows must be in [0, {cap}]")
     sys.stdout.write(render_table(args.family, args.rows, args.format))
     return 0
 
 
-def _cmd_powersum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    k, n, r = args.k, args.n, args.r
-    try:
-        if args.method != "all":
-            print(f"{args.method}: {ps.compute(args.method, k, n, r)}")
-            return 0
-        values = ps.concordance(k, n, r)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_powersum(args: argparse.Namespace) -> int:
+    if args.method != "all":
+        print(f"{args.method}: {ps.compute(args.method, args.k, args.n, args.r)}")
+        return 0
+    values = ps.concordance(args.k, args.n, args.r)
     for method, value in values.items():
         print(f"{method.value}: {value}")
     verdict = "OK" if len(set(values.values())) == 1 else "MISMATCH"
@@ -98,23 +92,17 @@ def _cmd_powersum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0 if verdict == "OK" else 1
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        report = run_suite(args.suite, args.k_max, args.n_max)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = run_suite(args.suite, args.k_max, args.n_max)
     for cell, expected, actual in report.failures:
         print(f"FAIL {cell}: expected {expected}, got {actual}")
     print(report.summary())
     return 0 if report.ok else 1
 
 
-def _cmd_zeta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_zeta(args: argparse.Namespace) -> int:
     k = args.k
-    try:
-        value = zeta_even_exact(k)
-    except ValueError as exc:
-        parser.error(str(exc))
+    value = zeta_even_exact(k)
     print(f"zeta({2 * k}) = {value.coeff} · π^{2 * k}")
     approx = value.coeff * PI_50 ** (2 * k)
     print(f"zeta({2 * k}) ≈ {float(approx):.15g}  (decimal rendering only)")
@@ -160,7 +148,9 @@ def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     except MemoryError:
         parser.exit(2, f"{parser.prog}: error: out of memory; try smaller inputs\n")
 

@@ -2,7 +2,7 @@
 multiples of even powers of pi.
 
 Everything here is immutable and pure; no floating point appears in any
-computation path.
+computation path: _exact turns away floats and bools with a TypeError.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ __all__ = ["ConsistencyError", "Poly", "PiPower"]
 
 class ConsistencyError(ArithmeticError):
     """An internal identity that must hold exactly failed to."""
+
+
+def _exact(x: Scalar) -> Fraction:
+    """x as a Fraction; only ints (not bools) and Fractions are exact."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -37,7 +46,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -53,7 +62,7 @@ class Poly:
         return Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = _exact(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -94,7 +103,8 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly(c * Fraction(other) for c in self.coeffs)
+        other = _exact(other)
+        return Poly(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
 
@@ -116,7 +126,9 @@ class PiPower:
     half_exponent: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _exact(self.coeff))
+        if type(self.half_exponent) is not int:
+            raise TypeError(f"half_exponent must be an int, got {self.half_exponent!r}")
         if self.half_exponent < 0:
             raise ValueError("half_exponent must be >= 0")
 
@@ -138,7 +150,7 @@ class PiPower:
         if isinstance(other, PiPower):
             return PiPower(self.coeff * other.coeff,
                            self.half_exponent + other.half_exponent)
-        return PiPower(self.coeff * Fraction(other), self.half_exponent)
+        return PiPower(self.coeff * _exact(other), self.half_exponent)
 
     __rmul__ = __mul__
 

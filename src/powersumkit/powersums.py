@@ -1,5 +1,5 @@
-"""Every power-sum formula in scope, each implemented independently so the
-concordance sweep is a real cross-check rather than a tautology.
+"""Every power-sum formula in scope, each from its own numbers (the Lang-type
+ones share only symfuncs.power_sum_from_sigma_h), so concordance is a real check.
 
 S_k(n) denotes 1^k + 2^k + ... + n^k, with 0^0 = 1 so that S_0(n) = n.
 Rational-returning forms check integrality at the boundary; a non-integer
@@ -26,6 +26,7 @@ from .combinatorics import (
     stirling_second,
 )
 from .exact import ConsistencyError, _as_int
+from .symfuncs import power_sum_from_sigma_h
 
 __all__ = [
     "ConsistencyError",
@@ -94,12 +95,9 @@ def s_lang_refined(k: int, n: int) -> int:
     """S_k(n) = n*delta_{k,0} + sum_{m=1}^{k} (-1)^(m-1) m
     [n+1, n+1-m] {n+k-m, n}; terms with m > n vanish by convention."""
     _check_query(k, n)
-    total = n if k == 0 else 0
-    for m in range(1, k + 1):
-        term = m * stirling_first_unsigned(n + 1, n + 1 - m) \
-            * stirling_second(n + k - m, n)
-        total += term if (m - 1) % 2 == 0 else -term
-    return total
+    sigma = [stirling_first_unsigned(n + 1, n + 1 - m) for m in range(1, k + 1)]
+    h = [stirling_second(n + j, n) for j in range(k)]
+    return power_sum_from_sigma_h(sigma, h) + (n if k == 0 else 0)
 
 
 def s_newton_recurrence(k: int, n: int) -> int:
@@ -136,34 +134,29 @@ def s_binomial_recurrence(k: int, n: int) -> int:
 def s_range(k: int, n: int, r: int) -> int:
     """r^k + (r+1)^k + ... + n^k via the r-Stirling numbers."""
     _check_query(k, n, r, k_min=1)
-    total = 0
-    for m in range(1, k + 1):
-        term = m * r_stirling_first(n + 1, n + 1 - m, r) \
-            * r_stirling_second(n + k - m, n, r)
-        total += term if (m - 1) % 2 == 0 else -term
-    return total
+    sigma = [r_stirling_first(n + 1, n + 1 - m, r) for m in range(1, k + 1)]
+    h = [r_stirling_second(n + j, n, r) for j in range(k)]
+    return power_sum_from_sigma_h(sigma, h)
 
 
 def s_even_powers(k: int, n: int) -> int:
     """1^(2k) + 2^(2k) + ... + n^(2k) via even-index central factorial
     numbers: -sum_m m u(n+1, n+1-m) U(n+k-m, n)."""
     _check_query(k, n, k_min=1)
-    total = 0
-    for m in range(1, k + 1):
-        total += m * central_factorial_first(n + 1, n + 1 - m, Parity.EVEN) \
-            * central_factorial_second(n + k - m, n, Parity.EVEN)
-    return -total
+    sigma = [(-1) ** m * central_factorial_first(n + 1, n + 1 - m, Parity.EVEN)
+             for m in range(1, k + 1)]
+    h = [central_factorial_second(n + j, n, Parity.EVEN) for j in range(k)]
+    return power_sum_from_sigma_h(sigma, h)
 
 
 def s_odd_even_powers(k: int, n: int) -> int:
     """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) via odd-index central factorial
     numbers: -sum_m m v(n, n-m) V(n-1+k-m, n-1)."""
     _check_query(k, n, k_min=1)
-    total = 0
-    for m in range(1, k + 1):
-        total += m * central_factorial_first(n, n - m, Parity.ODD) \
-            * central_factorial_second(n - 1 + k - m, n - 1, Parity.ODD)
-    return -total
+    sigma = [(-1) ** m * central_factorial_first(n, n - m, Parity.ODD)
+             for m in range(1, k + 1)]
+    h = [central_factorial_second(n - 1 + j, n - 1, Parity.ODD) for j in range(k)]
+    return power_sum_from_sigma_h(sigma, h)
 
 
 def s_odd_even_powers_poly(k: int, n: int) -> int:
@@ -183,14 +176,11 @@ def triangular_sum_ls(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k via Legendre-Stirling numbers:
     -(1/2^k) sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n)."""
     _check_query(k, n, k_min=1)
-    total = 0
-    for m in range(1, k + 1):
-        total += m * legendre_stirling_first(n + 1, n + 1 - m) \
-            * legendre_stirling_second(n + k - m, n)
-    q, rem = divmod(-total, 2 ** k)
-    if rem:
-        raise ConsistencyError("Legendre-Stirling triangular sum not divisible by 2^k")
-    return q
+    sigma = [(-1) ** m * legendre_stirling_first(n + 1, n + 1 - m)
+             for m in range(1, k + 1)]
+    h = [legendre_stirling_second(n + j, n) for j in range(k)]
+    return _as_int(Fraction(power_sum_from_sigma_h(sigma, h), 2 ** k),
+                   "Legendre-Stirling triangular sum")
 
 
 def triangular_sum_binomial(k: int, n: int) -> int:
@@ -214,11 +204,9 @@ def triangular_sum_binomial(k: int, n: int) -> int:
 def ones_identity_residual(k: int, n: int) -> int:
     """sum_{m=1}^{k} (-1)^(m-1) m C(n,m) C(n+k-m-1, k-m) minus n; zero."""
     _check_query(k, n, k_min=1)
-    total = 0
-    for m in range(1, k + 1):
-        term = m * comb(n, m) * comb(n + k - m - 1, k - m)
-        total += term if (m - 1) % 2 == 0 else -term
-    return total - n
+    sigma = [comb(n, m) for m in range(1, k + 1)]
+    h = [comb(n + j - 1, j) for j in range(k)]
+    return power_sum_from_sigma_h(sigma, h) - n
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -248,6 +236,8 @@ def compute(method: Method, k: int, n: int, r: int = 1):
     fn = _METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}")
+    if type(r) is not int:
+        raise TypeError(f"r must be an int, got {r!r}")
     if method in _TAKES_R:
         return fn(k, n, r)
     if r != 1:

@@ -1,10 +1,12 @@
 """Elementary / complete homogeneous symmetric functions, power sums, and
 the Newton-Girard machinery over exact finite sequences.
 
-All functions accept either a SequenceSpec or any iterable of ints /
-Fractions.  Values are always Fractions, even when integer-valued, so the
-inverse-squares sequence flows through the same code path; integer-valued
-callers check unit denominators at their own boundary (ConsistencyError).
+Variable lists are a SequenceSpec or any iterable of ints / Fractions (a
+float or a bool raises TypeError).  Values are always Fractions, even when
+integer-valued, so the inverse-squares sequence flows through the same code
+path; integer-valued callers check unit denominators at their own boundary
+(ConsistencyError).  power_sum_from_sigma_h is the one p/sigma/h relation:
+the Lang-type power sums and two zeta identities only build its sigma and h.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
-from .exact import Poly
+from .exact import Poly, _exact
 from .sequences import SequenceSpec
 
 Vars = Union[SequenceSpec, Iterable]
@@ -21,6 +23,7 @@ __all__ = [
     "elementary_prefix",
     "complete_prefix",
     "power_sums_direct",
+    "power_sum_from_sigma_h",
     "power_sum_via_lang",
     "newton_girard_power_sums",
     "orthogonality_residual",
@@ -31,7 +34,7 @@ __all__ = [
 def _values(xs: Vars) -> Sequence[Fraction]:
     if isinstance(xs, SequenceSpec):
         return xs.values()
-    return [Fraction(v) for v in xs]
+    return [_exact(v) for v in xs]
 
 
 def elementary_prefix(xs: Vars, M: int) -> List[Fraction]:
@@ -71,18 +74,26 @@ def power_sums_direct(xs: Vars, M: int) -> List[Fraction]:
     return [sum((x ** m for x in vals), Fraction(0)) for m in range(1, M + 1)]
 
 
+def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
+    """p_k = sum_{m=1}^{k} (-1)^(m-1) m sigma_m h_{k-m} from sigma = [sigma_1..sigma_k]
+    and h = [h_0..h_{k-1}]; values are used as given, so int inputs give an int."""
+    k = len(sigma)
+    if len(h) != k:
+        raise ValueError(f"need as many h values as sigma values, got {len(h)} and {k}")
+    total = 0
+    for m in range(1, k + 1):
+        term = m * sigma[m - 1] * h[k - m]
+        total += term if m % 2 else -term
+    return total
+
+
 def power_sum_via_lang(xs: Vars, k: int) -> Fraction:
-    """p_k = sum_{m=1}^{k} (-1)^(m-1) * m * sigma_m * h_{k-m}."""
+    """p_k from the sigma and h prefixes of xs (power_sum_from_sigma_h)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vals = _values(xs)
-    sig = elementary_prefix(vals, k)
-    h = complete_prefix(vals, k)
-    total = Fraction(0)
-    for m in range(1, k + 1):
-        term = m * sig[m] * h[k - m]
-        total += term if (m - 1) % 2 == 0 else -term
-    return total
+    return power_sum_from_sigma_h(elementary_prefix(vals, k)[1:],
+                                  complete_prefix(vals, k)[:k])
 
 
 def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction]:
@@ -94,18 +105,17 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not sigma or Fraction(sigma[0]) != 1:
+    sig = [_exact(s) for s in sigma]
+    if not sig or sig[0] != 1:
         raise ValueError("sigma[0] must be 1")
-
-    def sig(m: int) -> Fraction:
-        return Fraction(sigma[m]) if m < len(sigma) else Fraction(0)
+    sig += [Fraction(0)] * (K + 1 - len(sig))
 
     p: List[Fraction] = []
     for m in range(1, K + 1):
-        acc = m * sig(m) * (1 if (m - 1) % 2 == 0 else -1)
+        acc = m * sig[m] * (1 if (m - 1) % 2 == 0 else -1)
         # inner sum is empty when m = 1
         for j in range(1, m):
-            term = sig(j) * p[m - j - 1]
+            term = sig[j] * p[m - j - 1]
             acc -= term if j % 2 == 0 else -term
         p.append(acc)
     return p

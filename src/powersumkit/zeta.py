@@ -12,6 +12,7 @@ from math import comb, factorial
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial, legendre_stirling_first, legendre_stirling_second
 from .exact import PiPower
+from .symfuncs import power_sum_from_sigma_h
 from .tables import recurrence
 
 __all__ = [
@@ -74,13 +75,10 @@ def h_inverse_squares_check(k: int) -> Fraction:
     p_k = zeta(2k).  Zero when the algebra is consistent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rhs = Fraction(0)
-    for m in range(1, k + 1):
-        # coefficient of pi^(2j) in h_j, j = k - m; zeta(0) = -1/2 gives h_0 = 1
-        h = Fraction(2 * (4 ** (k - m) - 2), 4 ** (k - m)) * _zeta_coeff(k - m)
-        term = m * Fraction(1, factorial(2 * m + 1)) * h
-        rhs += term if (m - 1) % 2 == 0 else -term
-    return _zeta_coeff(k) - rhs
+    sigma = [Fraction(1, factorial(2 * m + 1)) for m in range(1, k + 1)]
+    # coefficient of pi^(2j) in h_j; zeta(0) = -1/2 gives h_0 = 1
+    h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _zeta_coeff(j) for j in range(k)]
+    return _zeta_coeff(k) - power_sum_from_sigma_h(sigma, h)
 
 
 def bernoulli_binomial_identity(k: int) -> Fraction:
@@ -100,10 +98,9 @@ def merca_ls_bernoulli_identity(k: int, n: int) -> Fraction:
     (-1)^k/((k+1) C(2k+2,k+1)) + sum_j C(k,j) B_{k+j+1}(n+1)/(k+j+1)."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    lhs = 0
-    for m in range(1, k + 1):
-        lhs -= m * legendre_stirling_first(n + 1, n + 1 - m) \
-            * legendre_stirling_second(n + k - m, n)
+    lhs = power_sum_from_sigma_h(
+        [(-1) ** m * legendre_stirling_first(n + 1, n + 1 - m) for m in range(1, k + 1)],
+        [legendre_stirling_second(n + j, n) for j in range(k)])
     rhs = Fraction((-1) ** k, (k + 1) * comb(2 * k + 2, k + 1))
     for j in range(0, k + 1):
         rhs += comb(k, j) * bernoulli_polynomial(k + j + 1)(n + 1) / (k + j + 1)

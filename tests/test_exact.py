@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersumkit.exact import PiPower, Poly
+from powersumkit.symfuncs import complete_prefix, elementary_prefix, newton_girard_power_sums
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -70,6 +71,26 @@ class TestPiPower:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             PiPower(Fraction(1), -1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True])
+@pytest.mark.parametrize("make", [
+    lambda x: Poly([1, x]),
+    lambda x: Poly([1]) * x,
+    lambda x: x * Poly([1]),
+    lambda x: Poly([1, 2])(x),
+    lambda x: PiPower(x, 1),
+    lambda x: PiPower(Fraction(1), 1) * x,
+    lambda x: PiPower(Fraction(1), x),
+    lambda x: elementary_prefix([Fraction(1, 2), x], 2),
+    lambda x: complete_prefix([x], 2),
+    lambda x: newton_girard_power_sums([1, x], 2),
+    lambda x: newton_girard_power_sums([x], 1),
+])
+def test_floats_and_bools_are_refused(make, bad):
+    """Only ints and Fractions enter exact values; nothing is converted."""
+    with pytest.raises(TypeError):
+        make(bad)
 
 
 @given(rationals, rationals, rationals)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersumkit.powersums import (
     Method,
@@ -167,6 +169,27 @@ def test_compute_rejects_non_int_arguments(method):
             compute(method, bad, 3)
         with pytest.raises(TypeError):
             compute(method, 2, bad)
-        if method in (Method.BRUTE, Method.RANGE_R_STIRLING):
-            with pytest.raises(TypeError):
-                compute(method, 2, 3, bad)
+        with pytest.raises(TypeError):
+            compute(method, 2, 3, bad)
+
+
+# the i-th term of the sum each method computes
+_TERM = {
+    Method.EVEN_CENTRAL: lambda i, k: i ** (2 * k),
+    Method.ODD_CENTRAL: lambda i, k: (2 * i - 1) ** (2 * k),
+    Method.ODD_BERNOULLI_POLY: lambda i, k: (2 * i - 1) ** (2 * k),
+    Method.TRIANGULAR_LS: lambda i, k: (i * (i + 1) // 2) ** k,
+    Method.TRIANGULAR_BINOMIAL: lambda i, k: (i * (i + 1) // 2) ** k,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(Method)), st.integers(1, 40), st.data())
+def test_every_method_equals_its_direct_sum(method, n, data):
+    """Sizes beyond the verify grids (k <= 16, n <= 40)."""
+    takes_k0 = method in (Method.BRUTE, Method.LANG_ORIGINAL, Method.LANG_REFINED)
+    k = data.draw(st.integers(0 if takes_k0 else 1, 16), label="k")
+    takes_r = method in (Method.BRUTE, Method.RANGE_R_STIRLING)
+    r = data.draw(st.integers(1, n), label="r") if takes_r else 1
+    term = _TERM.get(method, lambda i, k: i ** k)
+    assert compute(method, k, n, r) == sum(term(i, k) for i in range(r, n + 1))

@@ -13,6 +13,7 @@ from powersumkit.symfuncs import (
     newton_girard_power_sums,
     orthogonality_residual,
     pn_polynomial_coeffs,
+    power_sum_from_sigma_h,
     power_sum_via_lang,
     power_sums_direct,
 )
@@ -77,6 +78,16 @@ def test_power_sum_via_lang_examples():
     assert power_sum_via_lang(SequenceSpec.ones(3), 4) == 3
     inv = SequenceSpec.inverse_squares(50)
     assert power_sum_via_lang(inv, 1) == sum(Fraction(1, i * i) for i in range(1, 51))
+
+
+def test_power_sum_from_sigma_h():
+    # naturals 1..3: sigma = 6, 11, 6 and h = 1, 6, 25 give p_3 = 36
+    assert power_sum_from_sigma_h([6, 11, 6], [1, 6, 25]) == 36
+    assert type(power_sum_from_sigma_h([6, 11, 6], [1, 6, 25])) is int
+    assert power_sum_from_sigma_h([], []) == 0
+    assert power_sum_from_sigma_h([Fraction(1, 4)], [1]) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        power_sum_from_sigma_h([6, 11], [1])
 
 
 @pytest.mark.parametrize("make", ALL_TAGS)
