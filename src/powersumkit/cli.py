@@ -40,25 +40,25 @@ def _rows_cap() -> int:
     return int(raw)
 
 
-_FAMILIES: Dict[str, Callable[[int, int], object]] = {
-    "stirling1": cmb.stirling_first_unsigned,
-    "stirling2": cmb.stirling_second,
-    "ls1": cmb.legendre_stirling_first,
-    "ls2": cmb.legendre_stirling_second,
-    "central_u": lambda n, k: cmb.central_factorial_first(n, k, cmb.Parity.EVEN),
-    "central_U": lambda n, k: cmb.central_factorial_second(n, k, cmb.Parity.EVEN),
-    "central_v": lambda n, k: cmb.central_factorial_first(n, k, cmb.Parity.ODD),
-    "central_V": lambda n, k: cmb.central_factorial_second(n, k, cmb.Parity.ODD),
-    "bernoulli": None,  # handled specially: one value per row
+# family -> the cells of row n, looked up in cmb at call time so that a
+# rebinding of its functions (perfbench/tracer.py) is seen
+_FAMILIES: Dict[str, Callable[[int], List[object]]] = {
+    "stirling1": lambda n: [cmb.stirling_first_unsigned(n, k) for k in range(n + 1)],
+    "stirling2": lambda n: [cmb.stirling_second(n, k) for k in range(n + 1)],
+    "ls1": lambda n: [cmb.legendre_stirling_first(n, k) for k in range(n + 1)],
+    "ls2": lambda n: [cmb.legendre_stirling_second(n, k) for k in range(n + 1)],
+    "central_u": lambda n: [cmb.central_factorial_first(n, k, "even") for k in range(n + 1)],
+    "central_U": lambda n: [cmb.central_factorial_second(n, k, "even") for k in range(n + 1)],
+    "central_v": lambda n: [cmb.central_factorial_first(n, k, "odd") for k in range(n + 1)],
+    "central_V": lambda n: [cmb.central_factorial_second(n, k, "odd") for k in range(n + 1)],
+    "bernoulli": lambda n: [cmb.bernoulli_number(n)],
 }
 
 
 def table_rows(family: str, rows: int) -> List[List[str]]:
-    """Triangle rows 0..rows as exact decimal / fraction strings."""
-    if family == "bernoulli":
-        return [[str(cmb.bernoulli_number(n))] for n in range(rows + 1)]
-    cell = _FAMILIES[family]
-    return [[str(cell(n, k)) for k in range(n + 1)] for n in range(rows + 1)]
+    """Rows 0..rows as exact decimal / fraction strings."""
+    row = _FAMILIES[family]
+    return [[str(cell) for cell in row(n)] for n in range(rows + 1)]
 
 
 def render_table(family: str, rows: int, fmt: str) -> str:

@@ -2,9 +2,13 @@
 r-Stirling numbers, central factorial numbers (even and odd index),
 Legendre-Stirling numbers, and Bernoulli numbers / polynomials.
 
-Triangle conventions: lookups outside 0 <= k <= n return 0 (matching the
-summation limits the identities rely on); genuinely malformed inputs
-(negative n, r outside [1, n]) raise ValueError.
+Triangle rule, for the eight triangles and binomial: n and k are ints, a
+negative n raises ValueError, and a lookup outside 0 <= k <= n returns 0
+(matching the summation limits the identities rely on); the r-Stirling
+families also raise ValueError for r outside [1, n].  Each cell function
+tests ints and 0 <= k <= n inline, as every warm lookup passes there, and
+hands any other cell to _outside, the rule itself.  A parity is a Parity or
+its value, "even" or "odd".
 
 The r-Stirling, central factorial, and Legendre-Stirling families are
 defined through their symmetric-function characterizations, delegating to
@@ -22,9 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Tuple
+from typing import Optional, Tuple
 
-from .exact import Poly, _as_int
+from .exact import Poly, _as_int, _check_int
 from .sequences import SequenceSpec
 from .symfuncs import complete_prefix, elementary_prefix
 from .tables import recurrence
@@ -45,17 +49,27 @@ __all__ = [
 ]
 
 
-class Parity(Enum):
+class Parity(str, Enum):
     EVEN = "even"
     ODD = "odd"
 
 
+def _outside(n: int, k: int, r: Optional[int] = None) -> int:
+    """The triangle rule for a cell that failed the inline test (ints and
+    0 <= k <= n): TypeError or ValueError for a bad n, k or r, else 0."""
+    _check_int("n", n, 0)
+    _check_int("k", k)
+    if r is not None:
+        _check_int("r", r)
+        if not 1 <= r <= n:
+            raise ValueError("need 1 <= r <= n")
+    return 0
+
+
 def binomial(n: int, k: int) -> int:
-    """C(n, k); zero for k < 0 or k > n, ValueError for negative n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
+    """C(n, k) under the triangle rule."""
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
     return comb(n, k)
 
 
@@ -75,10 +89,8 @@ def _stirling1_row(rows, n: int) -> Tuple[int, ...]:
 
 def stirling_first_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind [n over k]."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
     return _stirling1_row(n)[k]
 
 
@@ -96,10 +108,8 @@ def _stirling2_row(rows, n: int) -> Tuple[int, ...]:
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind {n over k}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
     return _stirling2_row(n)[k]
 
 
@@ -124,21 +134,24 @@ def _h_int(seq: SequenceSpec, m: int) -> int:
 def r_stirling_first(n: int, k: int, r: int) -> int:
     """r-Stirling number of the first kind [n over k]_r, i.e. the
     elementary symmetric function sigma_{n-k}(r, r+1, ..., n-1)."""
-    if r < 1 or r > n:
-        raise ValueError("need 1 <= r <= n")
-    if k < 0 or k > n:
-        return 0
-    return _sigma_int(SequenceSpec.naturals(n - 1, start=r), n - k)
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n \
+            or type(r) is not int or not 1 <= r <= n:
+        return _outside(n, k, r)
+    return _sigma_int(SequenceSpec("naturals", n - 1, r), n - k)
 
 
 def r_stirling_second(n: int, k: int, r: int) -> int:
     """r-Stirling number of the second kind {n over k}_r, i.e. the
     complete symmetric function h_{n-k}(r, r+1, ..., k)."""
-    if r < 1 or r > n:
-        raise ValueError("need 1 <= r <= n")
-    if k < 0 or k > n:
-        return 0
-    return _h_int(SequenceSpec.naturals(k, start=r), n - k)
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n \
+            or type(r) is not int or not 1 <= r <= n:
+        return _outside(n, k, r)
+    return _h_int(SequenceSpec("naturals", k, r), n - k)
+
+
+# parity -> (tag, extra): the odd-index families take `extra` more squares.
+# A Parity equals its value, so .get finds both; Parity() raises for the rest.
+_CENTRAL_SQUARES = {Parity.EVEN: ("squares", 0), Parity.ODD: ("odd_squares", 1)}
 
 
 def central_factorial_first(n: int, k: int, parity: Parity) -> int:
@@ -147,15 +160,11 @@ def central_factorial_first(n: int, k: int, parity: Parity) -> int:
     EVEN: u(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, ..., (n-1)^2).
     ODD:  v(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, 3^2, ..., (2n-1)^2).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
+    tag, extra = _CENTRAL_SQUARES.get(parity) or _CENTRAL_SQUARES[Parity(parity)]
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
     m = n - k
-    if parity is Parity.EVEN:
-        val = _sigma_int(SequenceSpec.squares(max(n - 1, 0)), m)
-    else:
-        val = _sigma_int(SequenceSpec.odd_squares(n), m)
+    val = _sigma_int(SequenceSpec(tag, max(n - 1 + extra, 0)), m)
     return -val if m % 2 else val
 
 
@@ -165,35 +174,28 @@ def central_factorial_second(n: int, k: int, parity: Parity) -> int:
     EVEN: U(n, k) = h_{n-k}(1^2, ..., k^2).
     ODD:  V(n, k) = h_{n-k}(1^2, 3^2, ..., (2k+1)^2).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    if parity is Parity.EVEN:
-        return _h_int(SequenceSpec.squares(k), n - k)
-    return _h_int(SequenceSpec.odd_squares(k + 1), n - k)
+    tag, extra = _CENTRAL_SQUARES.get(parity) or _CENTRAL_SQUARES[Parity(parity)]
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
+    return _h_int(SequenceSpec(tag, k + extra), n - k)
 
 
 def legendre_stirling_first(n: int, j: int) -> int:
     """Legendre-Stirling number of the first kind
     Ps_n^(j) = (-1)^(n-j) sigma_{n-j}(2, 6, ..., (n-1)n)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if j < 0 or j > n:
-        return 0
+    if type(n) is not int or type(j) is not int or not 0 <= j <= n:
+        return _outside(n, j)
     m = n - j
-    val = _sigma_int(SequenceSpec.doubled_triangulars(max(n - 1, 0)), m)
+    val = _sigma_int(SequenceSpec("doubled_triangulars", max(n - 1, 0)), m)
     return -val if m % 2 else val
 
 
 def legendre_stirling_second(n: int, j: int) -> int:
     """Legendre-Stirling number of the second kind
     PS_n^(j) = h_{n-j}(2, 6, ..., j(j+1))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if j < 0 or j > n:
-        return 0
-    return _h_int(SequenceSpec.doubled_triangulars(j), n - j)
+    if type(n) is not int or type(j) is not int or not 0 <= j <= n:
+        return _outside(n, j)
+    return _h_int(SequenceSpec("doubled_triangulars", j), n - j)
 
 
 # -- Bernoulli numbers and polynomials --------------------------------------
@@ -209,13 +211,12 @@ def _bernoulli(terms, k: int) -> Fraction:
 def bernoulli_number(k: int) -> Fraction:
     """B_k with the convention B_1 = -1/2, from the recurrence
     sum_{j=0}^{k} C(k+1, j) B_j = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if type(k) is not int or k < 0:
+        _check_int("k", k, 0)
     return _bernoulli(k)
 
 
 def bernoulli_polynomial(k: int) -> Poly:
     """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_int("k", k, 0)
     return Poly(comb(k, d) * _bernoulli(k - d) for d in range(k + 1))

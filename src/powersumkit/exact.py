@@ -3,13 +3,15 @@ multiples of even powers of pi.
 
 Everything here is immutable and pure; no floating point appears in any
 computation path: _exact turns away floats and bools with a TypeError.
+_check_int is the one rule for the int arguments of the whole package, and
+this is the only module that raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -27,6 +29,16 @@ def _exact(x: Scalar) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
+
+
+def _check_int(name: str, value: int, least: Optional[int] = None) -> None:
+    """The rule for every int argument: an int and not a bool (nor any other
+    subclass), else TypeError, and at least `least` when one is given, else
+    ValueError.  Hot callers test `type(value) is int` inline first."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -127,10 +139,8 @@ class PiPower:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", _exact(self.coeff))
-        if type(self.half_exponent) is not int:
-            raise TypeError(f"half_exponent must be an int, got {self.half_exponent!r}")
-        if self.half_exponent < 0:
-            raise ValueError("half_exponent must be >= 0")
+        if type(self.half_exponent) is not int or self.half_exponent < 0:
+            _check_int("half_exponent", self.half_exponent, 0)
 
     def __add__(self, other: "PiPower") -> "PiPower":
         if self.half_exponent != other.half_exponent:

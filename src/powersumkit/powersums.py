@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List
+from typing import Dict
 
 from .combinatorics import (
     Parity,
@@ -25,7 +25,7 @@ from .combinatorics import (
     stirling_first_unsigned,
     stirling_second,
 )
-from .exact import ConsistencyError, _as_int
+from .exact import ConsistencyError, _as_int, _check_int
 from .symfuncs import power_sum_from_sigma_h
 
 __all__ = [
@@ -62,27 +62,30 @@ class Method(str, Enum):
     TRIANGULAR_BINOMIAL = "triangular-binomial"
 
 
-def _check_query(k: int, n: int, r: int = 1, k_min: int = 0) -> None:
-    if type(k) is not int or type(n) is not int or type(r) is not int:
-        raise TypeError(f"k, n and r must be ints, got {k!r}, {n!r}, {r!r}")
-    if k < k_min:
-        raise ValueError(f"k must be >= {k_min}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _check_query(method: str, k: int, n: int, r: int = 1) -> None:
+    """The contract of a method, given by its value (a Method member is a
+    slow lookup): int k at least its least k, n >= 1 and 1 <= r <= n."""
+    least_k = _CONTRACTS[method][2]
+    # inline test first: every warm compute passes here
+    if type(k) is not int or type(n) is not int or type(r) is not int \
+            or k < least_k or n < 1:
+        _check_int("k", k, least_k)
+        _check_int("n", n, 1)
+        _check_int("r", r)
     if r < 1 or r > n:
         raise ValueError("need 1 <= r <= n")
 
 
 def s_brute(k: int, n: int, r: int = 1) -> int:
     """sum_{i=r}^{n} i^k by direct summation (the oracle)."""
-    _check_query(k, n, r)
+    _check_query("brute", k, n, r)
     return sum(i ** k for i in range(r, n + 1))
 
 
 def s_lang_original(k: int, n: int) -> int:
     """S_k(n) = sum_m (-1)^m (n-m) [n+1, n+1-m] {n+k-m, n},
     m running to min(k, n-1)."""
-    _check_query(k, n)
+    _check_query("lang-original", k, n)
     total = 0
     for m in range(0, min(k, n - 1) + 1):
         term = (n - m) * stirling_first_unsigned(n + 1, n + 1 - m) \
@@ -94,7 +97,7 @@ def s_lang_original(k: int, n: int) -> int:
 def s_lang_refined(k: int, n: int) -> int:
     """S_k(n) = n*delta_{k,0} + sum_{m=1}^{k} (-1)^(m-1) m
     [n+1, n+1-m] {n+k-m, n}; terms with m > n vanish by convention."""
-    _check_query(k, n)
+    _check_query("lang-refined", k, n)
     sigma = [stirling_first_unsigned(n + 1, n + 1 - m) for m in range(1, k + 1)]
     h = [stirling_second(n + j, n) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h) + (n if k == 0 else 0)
@@ -103,7 +106,7 @@ def s_lang_refined(k: int, n: int) -> int:
 def s_newton_recurrence(k: int, n: int) -> int:
     """S_m(n) = (-1)^(m-1) m sigma_m(n) - sum_{j=1}^{m-1} (-1)^j
     sigma_j(n) S_{m-j}(n), built up from m = 1; sigma_j(n) = [n+1, n+1-j]."""
-    _check_query(k, n, k_min=1)
+    _check_query("newton-recurrence", k, n)
     sigma = [stirling_first_unsigned(n + 1, n + 1 - j) for j in range(k + 1)]
     sums = [n]  # S_0(n) = n, never read
     for m in range(1, k + 1):
@@ -121,7 +124,7 @@ def s_binomial_recurrence(k: int, n: int) -> int:
 
     Note the inner sigma is over 1..m-1, not 1..n: sigma_j(m-1) = [m, m-j].
     """
-    _check_query(k, n, k_min=1)
+    _check_query("binomial-recurrence", k, n)
     sums = [n]  # S_0(n) = n, never read
     for m in range(1, k + 1):
         total = factorial(m) * comb(n + m, m + 1)
@@ -133,7 +136,7 @@ def s_binomial_recurrence(k: int, n: int) -> int:
 
 def s_range(k: int, n: int, r: int) -> int:
     """r^k + (r+1)^k + ... + n^k via the r-Stirling numbers."""
-    _check_query(k, n, r, k_min=1)
+    _check_query("range-r-stirling", k, n, r)
     sigma = [r_stirling_first(n + 1, n + 1 - m, r) for m in range(1, k + 1)]
     h = [r_stirling_second(n + j, n, r) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h)
@@ -142,7 +145,7 @@ def s_range(k: int, n: int, r: int) -> int:
 def s_even_powers(k: int, n: int) -> int:
     """1^(2k) + 2^(2k) + ... + n^(2k) via even-index central factorial
     numbers: -sum_m m u(n+1, n+1-m) U(n+k-m, n)."""
-    _check_query(k, n, k_min=1)
+    _check_query("even-central", k, n)
     sigma = [(-1) ** m * central_factorial_first(n + 1, n + 1 - m, Parity.EVEN)
              for m in range(1, k + 1)]
     h = [central_factorial_second(n + j, n, Parity.EVEN) for j in range(k)]
@@ -152,7 +155,7 @@ def s_even_powers(k: int, n: int) -> int:
 def s_odd_even_powers(k: int, n: int) -> int:
     """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) via odd-index central factorial
     numbers: -sum_m m v(n, n-m) V(n-1+k-m, n-1)."""
-    _check_query(k, n, k_min=1)
+    _check_query("odd-central", k, n)
     sigma = [(-1) ** m * central_factorial_first(n, n - m, Parity.ODD)
              for m in range(1, k + 1)]
     h = [central_factorial_second(n - 1 + j, n - 1, Parity.ODD) for j in range(k)]
@@ -162,7 +165,7 @@ def s_odd_even_powers(k: int, n: int) -> int:
 def s_odd_even_powers_poly(k: int, n: int) -> int:
     """Same odd-base power sum as a polynomial in n:
     (2^(2k)/(2k+1)) sum_j C(2k+1, 2j+1) B_{2k-2j}(1/2) n^(2j+1)."""
-    _check_query(k, n, k_min=1)
+    _check_query("odd-bernoulli-poly", k, n)
     half = Fraction(1, 2)
     total = Fraction(0)
     for j in range(0, k + 1):
@@ -175,7 +178,7 @@ def s_odd_even_powers_poly(k: int, n: int) -> int:
 def triangular_sum_ls(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k via Legendre-Stirling numbers:
     -(1/2^k) sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n)."""
-    _check_query(k, n, k_min=1)
+    _check_query("triangular-ls", k, n)
     sigma = [(-1) ** m * legendre_stirling_first(n + 1, n + 1 - m)
              for m in range(1, k + 1)]
     h = [legendre_stirling_second(n + j, n) for j in range(k)]
@@ -187,7 +190,7 @@ def triangular_sum_binomial(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with the
     Bernoulli-polynomial form of S_{k+j}(n) computed alongside and the two
     asserted equal."""
-    _check_query(k, n, k_min=1)
+    _check_query("triangular-binomial", k, n)
     via_sums = Fraction(0)
     via_bernoulli = Fraction(0)
     for j in range(0, k + 1):
@@ -203,7 +206,8 @@ def triangular_sum_binomial(k: int, n: int) -> int:
 
 def ones_identity_residual(k: int, n: int) -> int:
     """sum_{m=1}^{k} (-1)^(m-1) m C(n,m) C(n+k-m-1, k-m) minus n; zero."""
-    _check_query(k, n, k_min=1)
+    _check_int("k", k, 1)
+    _check_int("n", n, 1)
     sigma = [comb(n, m) for m in range(1, k + 1)]
     h = [comb(n + j - 1, j) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h) - n
@@ -211,23 +215,26 @@ def ones_identity_residual(k: int, n: int) -> int:
 
 # -- dispatch ---------------------------------------------------------------
 
-# Method -> function; the first six compute r^k + ... + n^k
-_METHODS = {
-    Method.BRUTE: s_brute,
-    Method.LANG_ORIGINAL: s_lang_original,
-    Method.LANG_REFINED: s_lang_refined,
-    Method.NEWTON_RECURRENCE: s_newton_recurrence,
-    Method.BINOMIAL_RECURRENCE: s_binomial_recurrence,
-    Method.RANGE_R_STIRLING: s_range,
-    Method.EVEN_CENTRAL: s_even_powers,
-    Method.ODD_CENTRAL: s_odd_even_powers,
-    Method.ODD_BERNOULLI_POLY: s_odd_even_powers_poly,
-    Method.TRIANGULAR_LS: triangular_sum_ls,
-    Method.TRIANGULAR_BINOMIAL: triangular_sum_binomial,
+# Method -> (function, whether it takes r, least k): first the methods that
+# compute r^k + ... + n^k, which concordance cross-checks, then the others
+_PLAIN_SUMS = {
+    Method.BRUTE: (s_brute, True, 0),
+    Method.LANG_ORIGINAL: (s_lang_original, False, 0),
+    Method.LANG_REFINED: (s_lang_refined, False, 0),
+    Method.NEWTON_RECURRENCE: (s_newton_recurrence, False, 1),
+    Method.BINOMIAL_RECURRENCE: (s_binomial_recurrence, False, 1),
+    Method.RANGE_R_STIRLING: (s_range, True, 1),
 }
-_PLAIN_SUMS = tuple(_METHODS)[:6]
-_TAKES_R = (Method.BRUTE, Method.RANGE_R_STIRLING)
-_TAKES_K0 = (Method.BRUTE, Method.LANG_ORIGINAL, Method.LANG_REFINED)
+_CONTRACTS = {
+    **_PLAIN_SUMS,
+    Method.EVEN_CENTRAL: (s_even_powers, False, 1),
+    Method.ODD_CENTRAL: (s_odd_even_powers, False, 1),
+    Method.ODD_BERNOULLI_POLY: (s_odd_even_powers_poly, False, 1),
+    Method.TRIANGULAR_LS: (triangular_sum_ls, False, 1),
+    Method.TRIANGULAR_BINOMIAL: (triangular_sum_binomial, False, 1),
+}
+# the function column alone, as plain values that perfbench/tracer.py can rebind
+_METHODS = {method: fn for method, (fn, _, _) in _CONTRACTS.items()}
 
 
 def compute(method: Method, k: int, n: int, r: int = 1):
@@ -236,21 +243,18 @@ def compute(method: Method, k: int, n: int, r: int = 1):
     fn = _METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}")
-    if type(r) is not int:
-        raise TypeError(f"r must be an int, got {r!r}")
-    if method in _TAKES_R:
+    if _CONTRACTS[method][1]:
         return fn(k, n, r)
+    if type(r) is not int:
+        _check_int("r", r)
     if r != 1:
         raise ValueError(f"method {Method(method).value} does not support r > 1")
     return fn(k, n)
 
 
-def plain_sum_methods(k: int, r: int) -> List[Method]:
-    """Methods that compute r^k + ... + n^k and can be cross-checked."""
-    return [m for m in _PLAIN_SUMS
-            if (r == 1 or m in _TAKES_R) and (k >= 1 or m in _TAKES_K0)]
-
-
 def concordance(k: int, n: int, r: int = 1) -> Dict[Method, int]:
-    """Every applicable plain power-sum method at (k, n, r)."""
-    return {m: compute(m, k, n, r) for m in plain_sum_methods(k, r)}
+    """Every plain power-sum method that takes (k, n, r), after checking the
+    query against brute's contract, the widest."""
+    _check_query("brute", k, n, r)
+    return {m: compute(m, k, n, r) for m, (_, takes_r, least_k) in _PLAIN_SUMS.items()
+            if k >= least_k and (r == 1 or takes_r)}

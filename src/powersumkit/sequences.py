@@ -1,9 +1,12 @@
 """Named generators for the finite variable sets the symmetric functions
 are evaluated over.
 
-A SequenceSpec is a small frozen value (hashable, so usable as a cache key)
-that expands to an exact tuple of Fractions on demand.  All tags except
-``inverse_squares`` generate integer values.
+A SequenceSpec(tag, n, start) is a small frozen value (hashable, so usable
+as a cache key) that expands on demand to the exact tuple of Fractions
+term(start), ..., term(n) of its tag: for instance SequenceSpec("naturals",
+n, r) is r, r+1, ..., n (empty when n < start) and SequenceSpec("odd_squares",
+n) is 1^2, 3^2, ..., (2n-1)^2.  n >= 0 and start >= 1 are checked at
+construction.  All tags except ``inverse_squares`` generate integer values.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
+
+from .exact import _check_int
 
 __all__ = ["SequenceSpec"]
 
@@ -25,7 +30,7 @@ _TERMS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceSpec:
     tag: str
     n: int = 0
@@ -34,43 +39,13 @@ class SequenceSpec:
     def __post_init__(self):
         if self.tag not in _TERMS:
             raise ValueError(f"unknown sequence tag {self.tag!r}")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def naturals(cls, n: int, start: int = 1) -> "SequenceSpec":
-        """start, start+1, ..., n (empty when n < start)."""
-        return cls("naturals", n, start)
-
-    @classmethod
-    def ones(cls, n: int) -> "SequenceSpec":
-        return cls("ones", n)
-
-    @classmethod
-    def squares(cls, n: int) -> "SequenceSpec":
-        """1^2, 2^2, ..., n^2."""
-        return cls("squares", n)
-
-    @classmethod
-    def odd_squares(cls, n: int) -> "SequenceSpec":
-        """1^2, 3^2, ..., (2n-1)^2."""
-        return cls("odd_squares", n)
-
-    @classmethod
-    def doubled_triangulars(cls, n: int) -> "SequenceSpec":
-        """2, 6, ..., n(n+1), i.e. twice the first n triangular numbers."""
-        return cls("doubled_triangulars", n)
-
-    @classmethod
-    def inverse_squares(cls, n: int) -> "SequenceSpec":
-        """1/1^2, 1/2^2, ..., 1/n^2 (finite truncation)."""
-        return cls("inverse_squares", n)
-
-    # -- expansion ---------------------------------------------------------
+        # inline test first: the sigma/h cells build a spec per lookup
+        if type(self.n) is not int or type(self.start) is not int \
+                or self.n < 0 or self.start < 1:
+            _check_int("n", self.n, 0)
+            _check_int("start", self.start, 1)
 
     def values(self) -> Tuple[Fraction, ...]:
-        if self.n < 0:
-            raise ValueError("sequence length must be >= 0")
         return tuple(map(_TERMS[self.tag], range(self.start, self.n + 1)))
 
     def __len__(self) -> int:

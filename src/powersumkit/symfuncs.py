@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
-from .exact import Poly, _exact
+from .exact import Poly, _check_int, _exact
 from .sequences import SequenceSpec
 
 Vars = Union[SequenceSpec, Iterable]
@@ -42,8 +42,7 @@ def elementary_prefix(xs: Vars, M: int) -> List[Fraction]:
 
     Entries with index above the number of variables are zero.
     """
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    _check_int("M", M, 0)
     sig = [Fraction(1)] + [Fraction(0)] * M
     for x in _values(xs):
         for m in range(M, 0, -1):
@@ -54,8 +53,7 @@ def elementary_prefix(xs: Vars, M: int) -> List[Fraction]:
 def complete_prefix(xs: Vars, M: int) -> List[Fraction]:
     """[h_0, ..., h_M] by the DP h_m <- h_m + x * h_{m-1} (h from the
     current, already-updated row: each variable may repeat)."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    _check_int("M", M, 0)
     h = [Fraction(1)] + [Fraction(0)] * M
     for x in _values(xs):
         for m in range(1, M + 1):
@@ -68,8 +66,7 @@ def power_sums_direct(xs: Vars, M: int) -> List[Fraction]:
 
     This is the brute-force oracle everything else is compared against.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _check_int("M", M, 1)
     vals = _values(xs)
     return [sum((x ** m for x in vals), Fraction(0)) for m in range(1, M + 1)]
 
@@ -89,8 +86,7 @@ def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
 
 def power_sum_via_lang(xs: Vars, k: int) -> Fraction:
     """p_k from the sigma and h prefixes of xs (power_sum_from_sigma_h)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int("k", k, 1)
     vals = _values(xs)
     return power_sum_from_sigma_h(elementary_prefix(vals, k)[1:],
                                   complete_prefix(vals, k)[:k])
@@ -103,8 +99,7 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
     ``sigma`` holds sigma_0..sigma_K (missing trailing entries are treated
     as zero); sigma_0 must be 1.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_int("K", K, 1)
     sig = [_exact(s) for s in sigma]
     if not sig or sig[0] != 1:
         raise ValueError("sigma[0] must be 1")
@@ -123,8 +118,7 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
 
 def orthogonality_residual(xs: Vars, k: int) -> Fraction:
     """sum_{i=0}^{k} (-1)^i sigma_i h_{k-i}; equals 1 at k=0 and 0 otherwise."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_int("k", k, 0)
     vals = _values(xs)
     sig = elementary_prefix(vals, k)
     h = complete_prefix(vals, k)
@@ -141,8 +135,7 @@ def pn_polynomial_coeffs(n: int) -> Poly:
 
     Its x^m coefficient equals (n-m) * (-1)^m * sigma_m(1..n).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     total = Poly()
     for j in range(1, n + 1):
         prod = Poly([1])

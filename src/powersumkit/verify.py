@@ -16,6 +16,7 @@ from . import combinatorics as cmb
 from . import powersums as ps
 from . import symfuncs as sf
 from . import zeta as zt
+from .exact import _check_int
 from .goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
 from .sequences import SequenceSpec
 
@@ -53,8 +54,9 @@ def _suite(name: str, k: Optional[int] = None, n: Optional[int] = None):
     default grid bounds, None where the suite ignores that bound."""
     def wrap(fn):
         def run(k_max: Optional[int] = None, n_max: Optional[int] = None) -> VerifyReport:
-            if (k_max is not None and k_max < 1) or (n_max is not None and n_max < 1):
-                raise ValueError("k_max and n_max must be >= 1")
+            for bound in (k_max, n_max):
+                if bound is not None:
+                    _check_int("k_max and n_max", bound, 1)
             report = VerifyReport(name)
             start = time.perf_counter()
             fn(report, k if k_max is None else k_max, n if n_max is None else n_max)
@@ -177,7 +179,7 @@ def _bernoulli(rep: VerifyReport, k_max, n_max) -> None:
 def _pn_coeffs(rep: VerifyReport, k_max, n_max) -> None:
     for n in range(1, n_max + 1):
         poly = sf.pn_polynomial_coeffs(n)
-        sig = sf.elementary_prefix(SequenceSpec.naturals(n), n)
+        sig = sf.elementary_prefix(SequenceSpec("naturals", n), n)
         for m in range(0, n):
             expected = (n - m) * sig[m] * (-1 if m % 2 else 1)
             rep.check(f"pn n={n} m={m}", expected, poly.coeff(m))

@@ -3,13 +3,19 @@ import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersumkit.cli import main, render_table, table_rows, _FAMILIES
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
+from powersumkit.powersums import Method
+from powersumkit.verify import SUITES
 
 
 def run(argv):
@@ -181,3 +187,38 @@ def test_out_of_memory_is_exit_2_without_traceback():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "out of memory" in proc.stderr
+
+
+def _number(lo: int, hi: int, *extra: str):
+    """An option value: mostly an int in [lo, hi], else one of `extra` or junk."""
+    junk = st.sampled_from(extra + ("", "x", "2.5", "0x10", "--"))
+    return st.integers(0, 7).flatmap(
+        lambda i: junk if i == 0 else st.integers(lo, hi).map(str))
+
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(sorted(_FAMILIES) + ["bogus"]), _number(-2, 10, "65", "1000"),
+              st.sampled_from(["plain", "csv", "json", "xml"])).map(
+        lambda t: ["table", "--family", t[0], "--rows", t[1], "--format", t[2]]),
+    st.tuples(_number(-1, 8), _number(-1, 12), st.lists(_number(-1, 3), max_size=1),
+              st.sampled_from(["all", "bogus"] + [m.value for m in Method])).map(
+        lambda t: ["powersum", "--k", t[0], "--n", t[1], "--method", t[3]]
+        + [arg for r in t[2] for arg in ("--r", r)]),
+    st.tuples(st.sampled_from(sorted(SUITES) + ["all", "bogus"]),
+              _number(-1, 4), _number(-1, 5)).map(
+        lambda t: ["verify", "--suite", t[0], "--k-max", t[1], "--n-max", t[2]]),
+    _number(-2, 30).map(lambda k: ["zeta", "--k", k]),
+    st.lists(st.sampled_from(["table", "zeta", "--k", "1", "--rows", "-", "bogus"]), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    """Exit 0, 1 or 2 and no traceback; 1 only when an identity failed."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert "MISMATCH" in out.getvalue() or "FAIL " in out.getvalue(), argv

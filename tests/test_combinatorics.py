@@ -58,14 +58,14 @@ class TestStirling:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_sigma_identity(self, n):
         """[n+1 over n+1-m] = sigma_m(1..n)."""
-        sigma = elementary_prefix(SequenceSpec.naturals(n), n)
+        sigma = elementary_prefix(SequenceSpec("naturals", n), n)
         for m in range(n + 1):
             assert stirling_first_unsigned(n + 1, n + 1 - m) == sigma[m]
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_h_identity(self, n):
         """{n+m over n} = h_m(1..n)."""
-        h = complete_prefix(SequenceSpec.naturals(n), 14 - n)
+        h = complete_prefix(SequenceSpec("naturals", n), 14 - n)
         for m in range(14 - n + 1):
             assert stirling_second(n + m, n) == h[m]
 
@@ -79,7 +79,7 @@ class TestStirling:
 
 def test_non_integer_sigma_is_consistency_error():
     with pytest.raises(ConsistencyError):
-        _sigma_int(SequenceSpec.inverse_squares(3), 1)
+        _sigma_int(SequenceSpec("inverse_squares", 3), 1)
 
 
 class TestRStirling:
@@ -116,10 +116,26 @@ class TestCentralFactorial:
             assert central_factorial_second(n, n, Parity.EVEN) == 1
             assert central_factorial_second(n, n, Parity.ODD) == 1
 
+    def test_parity_is_a_member_or_its_value(self):
+        assert central_factorial_first(3, 1, "even") == 4   # u(3, 1), not v(3, 1) = 259
+        assert central_factorial_second(3, 1, "even") == 1  # U(3, 1), not V(3, 1) = 91
+        for parity in Parity:
+            for n in range(6):
+                for k in range(n + 1):
+                    assert central_factorial_first(n, k, parity.value) == \
+                        central_factorial_first(n, k, parity)
+                    assert central_factorial_second(n, k, parity.value) == \
+                        central_factorial_second(n, k, parity)
+        for bad in ("EVEN", "bogus", None, True, 0):
+            with pytest.raises(ValueError):
+                central_factorial_first(3, 1, bad)
+            with pytest.raises(ValueError):
+                central_factorial_second(3, 1, bad)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_even_families_match_squares(self, n):
-        sigma = elementary_prefix(SequenceSpec.squares(n), n)
-        h = complete_prefix(SequenceSpec.squares(n), 6)
+        sigma = elementary_prefix(SequenceSpec("squares", n), n)
+        h = complete_prefix(SequenceSpec("squares", n), 6)
         for m in range(n + 1):
             assert central_factorial_first(n + 1, n + 1 - m, Parity.EVEN) == \
                 (-1) ** m * sigma[m]
@@ -128,8 +144,8 @@ class TestCentralFactorial:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_odd_families_match_odd_squares(self, n):
-        sigma = elementary_prefix(SequenceSpec.odd_squares(n), n)
-        h = complete_prefix(SequenceSpec.odd_squares(n), 6)
+        sigma = elementary_prefix(SequenceSpec("odd_squares", n), n)
+        h = complete_prefix(SequenceSpec("odd_squares", n), 6)
         for m in range(n + 1):
             assert central_factorial_first(n, n - m, Parity.ODD) == \
                 (-1) ** m * sigma[m]
