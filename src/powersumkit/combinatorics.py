@@ -15,18 +15,24 @@ defined through their symmetric-function characterizations, delegating to
 symfuncs; the classical Stirling triangles use their own recurrences so
 the sigma/h identities are real cross-checks.
 
+The Bernoulli numbers come from the tangent numbers (Brent and Harvey),
+all in ints; the Fraction recursion they are checked against,
+bernoulli_even_recursion, lives in zeta, and the zeta(2k) recursion there
+reads no Bernoulli number.
+
 All functions are pure.  The Stirling rows and the Bernoulli numbers are
-built bottom-up in `tables.recurrence` tables; the sigma/h values are kept
-in point caches of fixed size.
+built bottom-up in `tables.recurrence` tables (the Bernoulli numbers a
+block at a time); the sigma/h values are kept in point caches of fixed
+size.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exact import Poly, _as_int, _check_int
 from .sequences import SequenceSpec
@@ -200,17 +206,47 @@ def legendre_stirling_second(n: int, j: int) -> int:
 
 # -- Bernoulli numbers and polynomials --------------------------------------
 
-@recurrence
-def _bernoulli(terms, k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    s = sum(Fraction(comb(k + 1, j)) * terms[j] for j in range(k))
-    return -s / (k + 1)
+def _tangent_numbers(m: int) -> List[int]:
+    """[T_0, T_1, ..., T_m] (T_0 = 0), the tangent numbers, by Brent and
+    Harvey's in-place integer recurrence (arXiv:1108.0286, Algorithm
+    TangentNumbers): O(m^2) small-by-large products, no division."""
+    t = [0] * (m + 1)
+    if m:
+        t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        prev = t[k - 1]
+        for j in range(k, m + 1):
+            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
+    return t
+
+
+@partial(recurrence, blocks=True)
+def _bernoulli(terms, j: int) -> List[Fraction]:
+    # B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1, and from the tangent numbers
+    # B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  A tangent pass is not
+    # incremental, so each block at least doubles the table and keeps only
+    # the Bernoulli numbers.
+    start, stop = len(terms), max(j, 2 * len(terms)) + 1
+    tangent = _tangent_numbers((stop - 1) // 2)
+    block = []
+    for k in range(start, stop):
+        if k < 2:
+            block.append(Fraction(1) if k == 0 else Fraction(-1, 2))
+        elif k % 2:
+            block.append(Fraction(0))
+        else:
+            m, four_m = k // 2, 4 ** (k // 2)
+            value = Fraction(k * tangent[m], four_m * (four_m - 1))
+            block.append(value if m % 2 else -value)
+    return block
 
 
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with the convention B_1 = -1/2, from the recurrence
-    sum_{j=0}^{k} C(k+1, j) B_j = 0."""
+    """B_k with the convention B_1 = -1/2, from the tangent numbers (Brent
+    and Harvey), an all-integer route; bernoulli_even_recursion in zeta is
+    the Fraction recursion it is checked against."""
     if type(k) is not int or k < 0:
         _check_int("k", k, 0)
     return _bernoulli(k)

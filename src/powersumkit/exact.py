@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -69,16 +70,27 @@ class Poly:
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of x**m, zero outside the stored range."""
+        if type(m) is not int:
+            _check_int("m", m)
         if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
         return Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
+        """P(p/q) by Horner's rule on ints: with D the lcm of the coefficient
+        denominators, D q^n P(p/q) = sum_i (D c_i) p^i q^(n-i), one Fraction
+        at the end."""
         x = _exact(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        d = lcm(*(c.denominator for c in cs))
+        acc, q_power = 0, 1
+        for c in reversed(cs):
+            acc = acc * p + c.numerator * (d // c.denominator) * q_power
+            q_power *= q
+        return Fraction(acc, d * q ** (len(cs) - 1))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

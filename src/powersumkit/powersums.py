@@ -146,9 +146,10 @@ def s_even_powers(k: int, n: int) -> int:
     """1^(2k) + 2^(2k) + ... + n^(2k) via even-index central factorial
     numbers: -sum_m m u(n+1, n+1-m) U(n+k-m, n)."""
     _check_query("even-central", k, n)
-    sigma = [(-1) ** m * central_factorial_first(n + 1, n + 1 - m, Parity.EVEN)
+    even = Parity.EVEN  # one enum attribute read, not 2k
+    sigma = [(-1) ** m * central_factorial_first(n + 1, n + 1 - m, even)
              for m in range(1, k + 1)]
-    h = [central_factorial_second(n + j, n, Parity.EVEN) for j in range(k)]
+    h = [central_factorial_second(n + j, n, even) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h)
 
 
@@ -156,9 +157,10 @@ def s_odd_even_powers(k: int, n: int) -> int:
     """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) via odd-index central factorial
     numbers: -sum_m m v(n, n-m) V(n-1+k-m, n-1)."""
     _check_query("odd-central", k, n)
-    sigma = [(-1) ** m * central_factorial_first(n, n - m, Parity.ODD)
+    odd = Parity.ODD
+    sigma = [(-1) ** m * central_factorial_first(n, n - m, odd)
              for m in range(1, k + 1)]
-    h = [central_factorial_second(n - 1 + j, n - 1, Parity.ODD) for j in range(k)]
+    h = [central_factorial_second(n - 1 + j, n - 1, odd) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h)
 
 

@@ -15,10 +15,13 @@ from collections import namedtuple
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
-def recurrence(step):
+def recurrence(step, *, blocks: bool = False):
     """Turn ``step(terms, j)``, which builds term j from ``terms[:j]``, into
-    a function of j >= 0 that keeps every term built, under a lock.  Misses
-    equal the size; hits go uncounted, to keep a hit one length check."""
+    a function of j >= 0 that keeps every term built, under a lock.  With
+    ``blocks=True``, ``step(terms, j)`` instead returns the list of terms
+    from ``len(terms)`` through at least j, for sequences built a block at a
+    time.  Misses equal the size; hits go uncounted, to keep a hit one
+    length check."""
     terms = []
     lock = threading.Lock()
 
@@ -27,7 +30,10 @@ def recurrence(step):
             return terms[j]
         with lock:
             while len(terms) <= j:
-                terms.append(step(terms, len(terms)))
+                if blocks:
+                    terms.extend(step(terms, j))
+                else:
+                    terms.append(step(terms, len(terms)))
         return terms[j]
 
     def cache_clear() -> None:

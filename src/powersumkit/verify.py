@@ -30,6 +30,9 @@ class VerifyReport:
     failures: List[Tuple[str, str, str]] = field(default_factory=list)  # (cell, expected, actual)
     elapsed: float = 0.0
 
+    def __post_init__(self):
+        _check_int("cells", self.cells, 0)
+
     @property
     def ok(self) -> bool:
         return not self.failures

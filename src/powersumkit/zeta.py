@@ -1,14 +1,18 @@
 """Exact zeta values at even arguments as rational multiples of pi^(2k),
 plus the Bernoulli-number identities that fall out of the same machinery.
 
-zeta(2k) values always come from the recursion in zeta_even_exact;
+zeta(2k) values always come from the recursion in zeta_even_exact, run
+on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
+keep small denominators; it reads no Bernoulli number, so
+zeta_even_classical, the Bernoulli closed form over the tangent-number
+Bernoulli numbers, is an independent check of it.
 h_inverse_squares_check is a verification op only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial, legendre_stirling_first, legendre_stirling_second
 from .exact import PiPower, _check_int
@@ -33,19 +37,32 @@ def sigma_inverse_squares(k: int) -> PiPower:
 
 
 @recurrence
-def _zeta_coeff(coeffs, k: int) -> Fraction:
+def _zeta_scaled(g, k: int) -> Fraction:
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
     #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,
-    # as the coefficient of pi^(2k); the m = k term is (-1)^(k-1) k/(2k+1)!
+    # read off as the coefficient c_k of pi^(2k) and multiplied through by
+    # (2k+1)!: with g_k = c_k (2k)!/4^k,
+    #   (2k+1) 4^k g_k = sum_m (-1)^(m-1) 2m C(2k+1, 2m+1) (4^(k-m) - 2) g_{k-m},
+    # g_0 = -1/2.  The g keep small denominators where the c_k grow like
+    # (2k+1)!, so the sum runs on ints over the lcm d of those denominators.
     if k == 0:
         return Fraction(-1, 2)
-    total = Fraction(0)
+    d = lcm(*(x.denominator for x in g))
+    total = 0
     for m in range(1, k + 1):
-        factor = Fraction(2 * m, factorial(2 * m + 1)) \
-            * (1 - Fraction(2, 4 ** (k - m)))
-        term = factor * coeffs[k - m]
-        total += term if (m - 1) % 2 == 0 else -term
-    return total
+        x = g[k - m]
+        term = 2 * m * comb(2 * k + 1, 2 * m + 1) * (4 ** (k - m) - 2) \
+            * x.numerator * (d // x.denominator)
+        total += term if m % 2 else -term
+    return Fraction(total, d * (2 * k + 1) * 4 ** k)
+
+
+@recurrence
+def _zeta_coeff(coeffs, k: int) -> Fraction:
+    # c_k = g_k 4^k/(2k)!, kept in its own table so that a warm zeta(2k) is
+    # one table read
+    g = _zeta_scaled(k)
+    return Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
 
 
 def zeta_even_exact(k: int) -> PiPower:

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from powersumkit import combinatorics
 from powersumkit.combinatorics import (
     Parity,
     bernoulli_number,
@@ -19,7 +20,7 @@ from powersumkit.combinatorics import (
     _sigma_int,
     _stirling1_row,
 )
-from powersumkit.exact import ConsistencyError
+from powersumkit.exact import ConsistencyError, Poly
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
 from powersumkit.sequences import SequenceSpec
 from powersumkit.symfuncs import complete_prefix, elementary_prefix
@@ -201,3 +202,34 @@ class TestBernoulli:
     def test_b1_difference_pattern(self):
         bp1 = bernoulli_polynomial(1)
         assert bp1(1) - bernoulli_number(1) == 1
+
+
+def _bernoulli_by_recurrence(kmax):
+    """B_0..B_kmax from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0,
+    the Fraction route the library used before tangent numbers."""
+    b = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+ORACLE_B = _bernoulli_by_recurrence(300)
+
+
+class TestBernoulliAgainstRecurrence:
+    @pytest.mark.parametrize("order", ["one-shot", "ascending", "scattered"])
+    def test_numbers_match_the_recurrence(self, order):
+        """However the block table grows, B_0..B_300 equal the recurrence."""
+        combinatorics._bernoulli.cache_clear()
+        ks = {"one-shot": [300], "ascending": range(301),
+              "scattered": [5, 4, 17, 18, 100, 33, 201, 300]}[order]
+        for k in ks:
+            bernoulli_number(k)
+        assert [bernoulli_number(k) for k in range(301)] == ORACLE_B
+        assert all(type(b) is Fraction for b in map(bernoulli_number, range(301)))
+
+    @pytest.mark.parametrize("k", range(0, 61))
+    def test_polynomials_match_the_recurrence(self, k):
+        # B_k(x) = sum_i C(k, i) B_i x^(k-i)
+        expected = Poly(comb(k, d) * ORACLE_B[k - d] for d in range(k + 1))
+        assert bernoulli_polynomial(k) == expected

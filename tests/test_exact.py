@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powersumkit.exact import PiPower, Poly
@@ -31,6 +31,26 @@ class TestPoly:
 
     def test_coeff_out_of_range(self):
         assert Poly([1, 2]).coeff(5) == 0
+
+    @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)])
+    def test_coeff_index_is_an_int(self, bad):
+        with pytest.raises(TypeError, match="m must be an int"):
+            Poly([1, 2]).coeff(bad)
+
+    @given(st.lists(rationals, max_size=8),
+           st.one_of(rationals, st.integers(-10 ** 6, 10 ** 6)))
+    @example([], Fraction(3, 7))
+    @example([1, 2, 3], 0)
+    @example([Fraction(1, 6), -1, 1], Fraction(-1, 2))
+    @example([Fraction(-2, 3), 0, Fraction(5, 4)], -7)
+    def test_eval_equals_fraction_horner(self, cs, x):
+        """The integer Horner loop agrees with a plain Fraction loop and
+        returns a reduced Fraction."""
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        got = Poly(cs)(x)
+        assert type(got) is Fraction and got == acc
 
     def test_mul(self):
         # (1 - x)(1 - 2x) = 1 - 3x + 2x^2

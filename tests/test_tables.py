@@ -1,7 +1,7 @@
 import inspect
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from powersumkit import combinatorics, zeta
 from powersumkit.combinatorics import bernoulli_number, stirling_first_unsigned, stirling_second
@@ -29,7 +29,7 @@ def test_deep_calls_need_no_recursion():
     """Cold tables answer deep queries under a recursion limit only a few
     dozen frames above the caller's."""
     for cached in (combinatorics._stirling1_row, combinatorics._stirling2_row,
-                   combinatorics._bernoulli, zeta._zeta_coeff):
+                   combinatorics._bernoulli, zeta._zeta_scaled, zeta._zeta_coeff):
         cached.cache_clear()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
@@ -38,6 +38,8 @@ def test_deep_calls_need_no_recursion():
                zeta_even_exact(150), s_newton_recurrence(200, 4),
                s_binomial_recurrence(200, 4), bernoulli_even_recursion(60)]
         classical = zeta_even_classical(150)
+        b1000 = bernoulli_number(1000)
+        deep_zeta, deep_classical = zeta_even_exact(300), zeta_even_classical(300)
     finally:
         sys.setrecursionlimit(old_limit)
     h1 = sum(Fraction(1, i) for i in range(1, 200))
@@ -46,3 +48,10 @@ def test_deep_calls_need_no_recursion():
     assert got == [factorial(199) * (h1 * h1 - h2) / 2,
                    (3 ** 200 - 3 * 2 ** 200 + 3) // 6,
                    classical, s4, s4, bernoulli_number(120)]
+    assert deep_zeta == deep_classical
+    # von Staudt-Clausen: B_1000 + sum of 1/p over primes p with (p-1) | 1000
+    # is an integer, and B_1000 < 0
+    primes = [p for p in range(2, 1002)
+              if (1000 % (p - 1) == 0 and all(p % q for q in range(2, p)))]
+    assert (b1000 + sum(Fraction(1, p) for p in primes)).denominator == 1
+    assert b1000.denominator == prod(primes) and b1000 < 0
