@@ -206,7 +206,7 @@ class TestBernoulli:
 
 def _bernoulli_by_recurrence(kmax):
     """B_0..B_kmax from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0,
-    the Fraction route the library used before tangent numbers."""
+    a Fraction route that shares nothing with the tangent numbers."""
     b = [Fraction(1)]
     for k in range(1, kmax + 1):
         b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
