@@ -123,18 +123,22 @@ def stirling_second(n: int, k: int) -> int:
 
 # entries per sigma/h point cache: `verify --suite all` keeps 0.8-0.9k
 # (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits), while a
-# 64-row table reads 2145 distinct values and hits about once
+# 64-row table reads 2145 distinct values and hits about once.  The caches
+# are keyed on the SequenceSpec fields (tag, n, start) and m, so a hit
+# builds no spec and calls no dataclass __hash__ or __eq__.
 POINT_CACHE_SIZE = 1 << 13
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
-def _sigma_int(seq: SequenceSpec, m: int) -> int:
-    return _as_int(elementary_prefix(seq, m)[m], f"sigma_{m} of {seq.tag}")
+def _sigma_int(tag: str, n: int, start: int, m: int) -> int:
+    seq = SequenceSpec(tag, n, start)
+    return _as_int(elementary_prefix(seq, m)[m], f"sigma_{m} of {tag}")
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
-def _h_int(seq: SequenceSpec, m: int) -> int:
-    return _as_int(complete_prefix(seq, m)[m], f"h_{m} of {seq.tag}")
+def _h_int(tag: str, n: int, start: int, m: int) -> int:
+    seq = SequenceSpec(tag, n, start)
+    return _as_int(complete_prefix(seq, m)[m], f"h_{m} of {tag}")
 
 
 def r_stirling_first(n: int, k: int, r: int) -> int:
@@ -143,7 +147,7 @@ def r_stirling_first(n: int, k: int, r: int) -> int:
     if type(n) is not int or type(k) is not int or not 0 <= k <= n \
             or type(r) is not int or not 1 <= r <= n:
         return _outside(n, k, r)
-    return _sigma_int(SequenceSpec("naturals", n - 1, r), n - k)
+    return _sigma_int("naturals", n - 1, r, n - k)
 
 
 def r_stirling_second(n: int, k: int, r: int) -> int:
@@ -152,7 +156,7 @@ def r_stirling_second(n: int, k: int, r: int) -> int:
     if type(n) is not int or type(k) is not int or not 0 <= k <= n \
             or type(r) is not int or not 1 <= r <= n:
         return _outside(n, k, r)
-    return _h_int(SequenceSpec("naturals", k, r), n - k)
+    return _h_int("naturals", k, r, n - k)
 
 
 # parity -> (tag, extra): the odd-index families take `extra` more squares.
@@ -170,7 +174,7 @@ def central_factorial_first(n: int, k: int, parity: Parity) -> int:
     if type(n) is not int or type(k) is not int or not 0 <= k <= n:
         return _outside(n, k)
     m = n - k
-    val = _sigma_int(SequenceSpec(tag, max(n - 1 + extra, 0)), m)
+    val = _sigma_int(tag, max(n - 1 + extra, 0), 1, m)
     return -val if m % 2 else val
 
 
@@ -183,7 +187,7 @@ def central_factorial_second(n: int, k: int, parity: Parity) -> int:
     tag, extra = _CENTRAL_SQUARES.get(parity) or _CENTRAL_SQUARES[Parity(parity)]
     if type(n) is not int or type(k) is not int or not 0 <= k <= n:
         return _outside(n, k)
-    return _h_int(SequenceSpec(tag, k + extra), n - k)
+    return _h_int(tag, k + extra, 1, n - k)
 
 
 def legendre_stirling_first(n: int, j: int) -> int:
@@ -192,7 +196,7 @@ def legendre_stirling_first(n: int, j: int) -> int:
     if type(n) is not int or type(j) is not int or not 0 <= j <= n:
         return _outside(n, j)
     m = n - j
-    val = _sigma_int(SequenceSpec("doubled_triangulars", max(n - 1, 0)), m)
+    val = _sigma_int("doubled_triangulars", max(n - 1, 0), 1, m)
     return -val if m % 2 else val
 
 
@@ -201,7 +205,7 @@ def legendre_stirling_second(n: int, j: int) -> int:
     PS_n^(j) = h_{n-j}(2, 6, ..., j(j+1))."""
     if type(n) is not int or type(j) is not int or not 0 <= j <= n:
         return _outside(n, j)
-    return _h_int(SequenceSpec("doubled_triangulars", j), n - j)
+    return _h_int("doubled_triangulars", j, 1, n - j)
 
 
 # -- Bernoulli numbers and polynomials --------------------------------------

@@ -1,5 +1,6 @@
 """Every power-sum formula in scope, each from its own numbers (the Lang-type
-ones share only symfuncs.power_sum_from_sigma_h), so concordance is a real check.
+ones share only symfuncs.power_sum_from_sigma_h, and newton-recurrence runs
+symfuncs.newton_girard_power_sums), so concordance is a real check.
 
 S_k(n) denotes 1^k + 2^k + ... + n^k, with 0^0 = 1 so that S_0(n) = n.
 Rational-returning forms check integrality at the boundary; a non-integer
@@ -16,6 +17,7 @@ from typing import Dict
 from .combinatorics import (
     Parity,
     bernoulli_polynomial,
+    binomial,
     central_factorial_first,
     central_factorial_second,
     legendre_stirling_first,
@@ -26,7 +28,7 @@ from .combinatorics import (
     stirling_second,
 )
 from .exact import ConsistencyError, _as_int, _check_int
-from .symfuncs import power_sum_from_sigma_h
+from .symfuncs import newton_girard_power_sums, power_sum_from_sigma_h
 
 __all__ = [
     "ConsistencyError",
@@ -105,17 +107,11 @@ def s_lang_refined(k: int, n: int) -> int:
 
 def s_newton_recurrence(k: int, n: int) -> int:
     """S_m(n) = (-1)^(m-1) m sigma_m(n) - sum_{j=1}^{m-1} (-1)^j
-    sigma_j(n) S_{m-j}(n), built up from m = 1; sigma_j(n) = [n+1, n+1-j]."""
+    sigma_j(n) S_{m-j}(n), built up from m = 1 by the Newton-Girard system
+    of symfuncs; sigma_j(n) = [n+1, n+1-j]."""
     _check_query("newton-recurrence", k, n)
     sigma = [stirling_first_unsigned(n + 1, n + 1 - j) for j in range(k + 1)]
-    sums = [n]  # S_0(n) = n, never read
-    for m in range(1, k + 1):
-        total = (-1) ** (m - 1) * m * sigma[m]
-        for j in range(1, m):
-            term = sigma[j] * sums[m - j]
-            total += term if j % 2 else -term
-        sums.append(total)
-    return sums[k]
+    return newton_girard_power_sums(sigma, k)[-1]
 
 
 def s_binomial_recurrence(k: int, n: int) -> int:
@@ -189,29 +185,24 @@ def triangular_sum_ls(k: int, n: int) -> int:
 
 
 def triangular_sum_binomial(k: int, n: int) -> int:
-    """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with the
-    Bernoulli-polynomial form of S_{k+j}(n) computed alongside and the two
-    asserted equal."""
+    """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with
+    S_{k+j}(n) in its Bernoulli-polynomial form
+    (B_{k+j+1}(n+1) - B_{k+j+1}(1))/(k+j+1)."""
     _check_query("triangular-binomial", k, n)
-    via_sums = Fraction(0)
-    via_bernoulli = Fraction(0)
+    total = Fraction(0)
     for j in range(0, k + 1):
-        c = comb(k, j)
-        via_sums += c * s_brute(k + j, n)
         bp = bernoulli_polynomial(k + j + 1)
-        via_bernoulli += c * (bp(n + 1) - bp(1)) / (k + j + 1)
-    if via_sums != via_bernoulli:
-        raise ConsistencyError(
-            "binomial and Bernoulli forms of the triangular sum disagree")
-    return _as_int(via_sums / 2 ** k, "triangular binomial sum")
+        total += comb(k, j) * (bp(n + 1) - bp(1)) / (k + j + 1)
+    return _as_int(total / 2 ** k, "triangular binomial sum")
 
 
 def ones_identity_residual(k: int, n: int) -> int:
-    """sum_{m=1}^{k} (-1)^(m-1) m C(n,m) C(n+k-m-1, k-m) minus n; zero."""
+    """sum_{m=1}^{k} (-1)^(m-1) m C(n,m) C(n+k-m-1, k-m) minus n; zero.
+    The sigma and h of n ones are the binomials C(n, m) and C(n+j-1, j)."""
     _check_int("k", k, 1)
     _check_int("n", n, 1)
-    sigma = [comb(n, m) for m in range(1, k + 1)]
-    h = [comb(n + j - 1, j) for j in range(k)]
+    sigma = [binomial(n, m) for m in range(1, k + 1)]
+    h = [binomial(n + j - 1, j) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h) - n
 
 

@@ -39,7 +39,7 @@ class SequenceSpec:
     def __post_init__(self):
         if self.tag not in _TERMS:
             raise ValueError(f"unknown sequence tag {self.tag!r}")
-        # inline test first: the sigma/h cells build a spec per lookup
+        # inline test first: every sigma/h cache miss builds a spec
         if type(self.n) is not int or type(self.start) is not int \
                 or self.n < 0 or self.start < 1:
             _check_int("n", self.n, 0)

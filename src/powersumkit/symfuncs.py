@@ -2,11 +2,14 @@
 the Newton-Girard machinery over exact finite sequences.
 
 Variable lists are a SequenceSpec or any iterable of ints / Fractions (a
-float or a bool raises TypeError).  Values are always Fractions, even when
-integer-valued, so the inverse-squares sequence flows through the same code
-path; integer-valued callers check unit denominators at their own boundary
-(ConsistencyError).  power_sum_from_sigma_h is the one p/sigma/h relation:
-the Lang-type power sums and two zeta identities only build its sigma and h.
+float or a bool raises TypeError).  The prefix DPs always return Fractions,
+even when integer-valued, so the inverse-squares sequence flows through the
+same code path; integer-valued callers check unit denominators at their own
+boundary (ConsistencyError).  power_sum_from_sigma_h is the one p/sigma/h
+relation: the Lang-type power sums and two zeta identities only build its
+sigma and h; newton_girard_power_sums is the one Newton-Girard recurrence,
+which s_newton_recurrence feeds with its own sigma.  Both use the entries
+they are given unchanged, so int entries give ints.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ Vars = Union[SequenceSpec, Iterable]
 __all__ = [
     "elementary_prefix",
     "complete_prefix",
-    "power_sums_direct",
     "power_sum_from_sigma_h",
-    "power_sum_via_lang",
     "newton_girard_power_sums",
     "orthogonality_residual",
     "pn_polynomial_coeffs",
@@ -61,16 +62,6 @@ def complete_prefix(xs: Vars, M: int) -> List[Fraction]:
     return h
 
 
-def power_sums_direct(xs: Vars, M: int) -> List[Fraction]:
-    """[p_1, ..., p_M] by direct exponentiation and summation.
-
-    This is the brute-force oracle everything else is compared against.
-    """
-    _check_int("M", M, 1)
-    vals = _values(xs)
-    return [sum((x ** m for x in vals), Fraction(0)) for m in range(1, M + 1)]
-
-
 def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
     """p_k = sum_{m=1}^{k} (-1)^(m-1) m sigma_m h_{k-m} from sigma = [sigma_1..sigma_k]
     and h = [h_0..h_{k-1}]; values are used as given, so int inputs give an int."""
@@ -84,26 +75,21 @@ def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
     return total
 
 
-def power_sum_via_lang(xs: Vars, k: int) -> Fraction:
-    """p_k from the sigma and h prefixes of xs (power_sum_from_sigma_h)."""
-    _check_int("k", k, 1)
-    vals = _values(xs)
-    return power_sum_from_sigma_h(elementary_prefix(vals, k)[1:],
-                                  complete_prefix(vals, k)[:k])
-
-
 def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction]:
     """[p_1, ..., p_K] by forward substitution through the unit
     lower-triangular Newton-Girard system.
 
     ``sigma`` holds sigma_0..sigma_K (missing trailing entries are treated
-    as zero); sigma_0 must be 1.
+    as zero); sigma_0 must be 1.  Entries are used as given once _exact
+    accepts them, so int entries give int power sums.
     """
     _check_int("K", K, 1)
-    sig = [_exact(s) for s in sigma]
+    sig = list(sigma)
+    for s in sig:
+        _exact(s)
     if not sig or sig[0] != 1:
         raise ValueError("sigma[0] must be 1")
-    sig += [Fraction(0)] * (K + 1 - len(sig))
+    sig += [0] * (K + 1 - len(sig))
 
     p: List[Fraction] = []
     for m in range(1, K + 1):

@@ -6,7 +6,8 @@ on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators; it reads no Bernoulli number, so
 zeta_even_classical, the Bernoulli closed form over the tangent-number
 Bernoulli numbers, is an independent check of it.
-h_inverse_squares_check is a verification op only.
+h_inverse_squares_check, a verification op only, reads its sigma from
+sigma_inverse_squares.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def h_inverse_squares_check(k: int) -> Fraction:
     into p_k = sum_m (-1)^(m-1) m sigma_m h_{k-m}, against
     p_k = zeta(2k).  Zero when the algebra is consistent."""
     _check_int("k", k, 1)
-    sigma = [Fraction(1, factorial(2 * m + 1)) for m in range(1, k + 1)]
+    sigma = [sigma_inverse_squares(m).coeff for m in range(1, k + 1)]
     # coefficient of pi^(2j) in h_j; zeta(0) = -1/2 gives h_0 = 1
     h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _zeta_coeff(j) for j in range(k)]
     return _zeta_coeff(k) - power_sum_from_sigma_h(sigma, h)

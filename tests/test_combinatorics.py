@@ -80,7 +80,7 @@ class TestStirling:
 
 def test_non_integer_sigma_is_consistency_error():
     with pytest.raises(ConsistencyError):
-        _sigma_int(SequenceSpec("inverse_squares", 3), 1)
+        _sigma_int("inverse_squares", 3, 1, 1)
 
 
 class TestRStirling:

@@ -5,13 +5,16 @@ outside exact)."""
 
 import ast
 import inspect
+import sys
 import types
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
 import powersumkit
-from powersumkit import combinatorics, exact, powersums, sequences, symfuncs, verify, zeta
+from powersumkit import cli, combinatorics, exact, powersums, sequences, symfuncs, verify, zeta
 from powersumkit.combinatorics import Parity
 from powersumkit.powersums import Method
 from powersumkit.sequences import SequenceSpec
@@ -27,6 +30,33 @@ def test_package_surface_is_the_layers_all():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {name for mod in LAYERS for name in mod.__all__}
     assert powersumkit.__version__
+
+
+def test_every_export_has_a_caller():
+    """Every exported function is reached by `run_suite("all")` or a CLI
+    subcommand, so verify or the CLI checks each one; methods of Poly and
+    PiPower are out of scope."""
+    exported = {fn.__code__: name for name, fn in vars(powersumkit).items()
+                if not name.startswith("_") and inspect.isfunction(fn)}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        verify.run_suite("all", 3, 4)
+        with redirect_stdout(StringIO()):
+            for argv in (["table", "--family", "central_V", "--rows", "3"],
+                         ["powersum", "--k", "2", "--n", "3"],
+                         ["verify", "--suite", "ones", "--k-max", "2", "--n-max", "2"],
+                         ["zeta", "--k", "2"]):
+                cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    assert len(exported) > 30
+    assert sorted(name for code, name in exported.items() if code not in called) == []
 
 
 INT_TYPES = (int, Optional[int])

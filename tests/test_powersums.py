@@ -45,6 +45,7 @@ def test_newton_recurrence_examples():
     assert s_newton_recurrence(1, 4) == 10
     assert s_newton_recurrence(3, 4) == 100
     assert s_newton_recurrence(6, 6) == 67171
+    assert type(s_newton_recurrence(6, 6)) is int
 
 
 def test_binomial_recurrence_examples():

@@ -14,8 +14,6 @@ from powersumkit.symfuncs import (
     orthogonality_residual,
     pn_polynomial_coeffs,
     power_sum_from_sigma_h,
-    power_sum_via_lang,
-    power_sums_direct,
 )
 
 ALL_TAGS = [
@@ -30,6 +28,17 @@ ALL_TAGS = [
 small_vars = st.lists(
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
     max_size=7)
+
+
+def power_sums_direct(xs, M):
+    """[p_1, ..., p_M] by direct exponentiation and summation: the oracle."""
+    vals = xs.values() if isinstance(xs, SequenceSpec) else xs
+    return [sum((x ** m for x in vals), Fraction(0)) for m in range(1, M + 1)]
+
+
+def power_sum_via_lang(xs, k):
+    """p_k from the sigma and h prefixes of xs, by power_sum_from_sigma_h."""
+    return power_sum_from_sigma_h(elementary_prefix(xs, k)[1:], complete_prefix(xs, k)[:k])
 
 
 def test_elementary_naturals_3():
@@ -102,6 +111,8 @@ def test_lang_matches_direct_all_tags(tag, n):
 def test_newton_girard_naturals_3():
     sigma = elementary_prefix(SequenceSpec("naturals", 3), 3)
     assert newton_girard_power_sums(sigma, 3) == [6, 14, 36]
+    ints = newton_girard_power_sums([1, 6, 11, 6], 3)
+    assert ints == [6, 14, 36] and {type(p) for p in ints} == {int}
 
 
 def test_newton_girard_single_variable():

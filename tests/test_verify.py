@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from powersumkit import powersums
+from powersumkit.cli import main
+from powersumkit.exact import ConsistencyError
 from powersumkit.verify import SUITES, VerifyReport, run_suite
 
 
@@ -32,3 +35,44 @@ def test_default_grids_keep_the_benchmark_cell_count():
     spec.loader.exec_module(oracles)
     report = run_suite("all")
     assert report.ok and report.cells == oracles.VERIFY_ALL_CELLS
+
+
+def _raise(exc):
+    def formula(*args):
+        raise exc
+    return formula
+
+
+def test_a_formula_that_raises_fails_one_cell_and_the_sweep_goes_on(monkeypatch, capsys):
+    others = sum(fn(3, 4).cells for name, fn in SUITES.items() if name != "central")
+    monkeypatch.setattr(powersums, "s_odd_even_powers_poly",
+                        _raise(ConsistencyError("non-integer value 1033/1023")))
+    report = run_suite("all", 3, 4)
+    assert report.failures == [(
+        "central raised", "no exception",
+        "ConsistencyError in formula: non-integer value 1033/1023")]
+    assert report.cells == others + SUITES["central"](3, 4).cells
+    assert main(["verify", "--suite", "all", "--k-max", "3", "--n-max", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("FAIL central raised: expected no exception, got "
+                      "ConsistencyError in formula: non-integer value 1033/1023")
+    assert out[-1].startswith("suite=all cells=") and " failures=1 " in out[-1]
+    assert out[-1].endswith("[FAILED]")
+
+
+def test_out_of_memory_in_a_formula_is_still_exit_2(monkeypatch):
+    monkeypatch.setattr(powersums, "s_odd_even_powers_poly", _raise(MemoryError()))
+    with pytest.raises(MemoryError):
+        run_suite("central", 3, 4)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--k-max", "3", "--n-max", "4"])
+    assert exc.value.code == 2
+
+
+def test_range_r1_cells_do_not_share_the_sum_they_check(monkeypatch):
+    """The r=1 cells check s_range against a route that does not go through
+    power_sum_from_sigma_h, so a fault in that sum fails them."""
+    shared = powersums.power_sum_from_sigma_h
+    monkeypatch.setattr(powersums, "power_sum_from_sigma_h", lambda s, h: shared(s, h) + 1)
+    failed = [cell for cell, _, _ in run_suite("range", 3, 4).failures]
+    assert len([cell for cell in failed if cell.startswith("range r=1 ")]) == 3 * 4
