@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List
@@ -26,18 +25,10 @@ from . import powersums as ps
 from .verify import SUITES, run_suite
 from .zeta import zeta_even_exact
 
-DEFAULT_ROWS_CAP = 64
-ROWS_CAP_ENV = "POWERSUMKIT_ROWS_CAP"
+ROWS_CAP = 64
 
 # 50 decimal digits of pi; presentation only, never used in computation
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
-
-
-def _rows_cap() -> int:
-    raw = os.environ.get(ROWS_CAP_ENV, str(DEFAULT_ROWS_CAP))
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{ROWS_CAP_ENV} must be an integer >= 0, got {raw!r}")
-    return int(raw)
 
 
 # family -> the cells of row n, looked up in cmb at call time so that a
@@ -73,9 +64,8 @@ def render_table(family: str, rows: int, fmt: str) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cap = _rows_cap()
-    if args.rows < 0 or args.rows > cap:
-        raise ValueError(f"--rows must be in [0, {cap}]")
+    if args.rows < 0 or args.rows > ROWS_CAP:
+        raise ValueError(f"--rows must be in [0, {ROWS_CAP}]")
     sys.stdout.write(render_table(args.family, args.rows, args.format))
     return 0
 

@@ -35,7 +35,7 @@ from math import comb
 from typing import List, Optional, Tuple
 
 from .exact import Poly, _as_int, _check_int
-from .sequences import SequenceSpec
+from .sequences import sequence
 from .symfuncs import complete_prefix, elementary_prefix
 from .tables import recurrence
 
@@ -124,21 +124,19 @@ def stirling_second(n: int, k: int) -> int:
 # entries per sigma/h point cache: `verify --suite all` keeps 0.8-0.9k
 # (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits), while a
 # 64-row table reads 2145 distinct values and hits about once.  The caches
-# are keyed on the SequenceSpec fields (tag, n, start) and m, so a hit
-# builds no spec and calls no dataclass __hash__ or __eq__.
+# are keyed on the arguments (tag, n, start) of sequence and m, so a hit
+# builds no sequence.
 POINT_CACHE_SIZE = 1 << 13
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
 def _sigma_int(tag: str, n: int, start: int, m: int) -> int:
-    seq = SequenceSpec(tag, n, start)
-    return _as_int(elementary_prefix(seq, m)[m], f"sigma_{m} of {tag}")
+    return _as_int(elementary_prefix(sequence(tag, n, start), m)[m], f"sigma_{m} of {tag}")
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
 def _h_int(tag: str, n: int, start: int, m: int) -> int:
-    seq = SequenceSpec(tag, n, start)
-    return _as_int(complete_prefix(seq, m)[m], f"h_{m} of {tag}")
+    return _as_int(complete_prefix(sequence(tag, n, start), m)[m], f"h_{m} of {tag}")
 
 
 def r_stirling_first(n: int, k: int, r: int) -> int:

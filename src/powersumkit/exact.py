@@ -52,8 +52,7 @@ class Poly:
     """Dense polynomial with exact rational coefficients.
 
     ``coeffs[i]`` is the coefficient of x**i.  Trailing zeros are trimmed,
-    so the zero polynomial is canonically the empty coefficient tuple and
-    ``degree`` is -1 for it.
+    so the zero polynomial is canonically the empty coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -63,10 +62,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of x**m, zero outside the stored range."""
@@ -92,18 +87,14 @@ class Poly:
             q_power *= q
         return Fraction(acc, d * q ** (len(cs) - 1))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -112,25 +103,16 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        other = _exact(other)
-        return Poly(c * other for c in self.coeffs)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if not self.coeffs or not other.coeffs:
+            return Poly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
@@ -138,13 +120,7 @@ class Poly:
 
 @dataclass(frozen=True)
 class PiPower:
-    """Exact value ``coeff * pi**(2*half_exponent)``.
-
-    Addition is defined only between values with equal half_exponent;
-    mixing exponents is a hard error by design, so an algebra bug that
-    would silently add incommensurable terms surfaces immediately.
-    Multiplication adds half_exponents.
-    """
+    """Exact value ``coeff * pi**(2*half_exponent)``."""
 
     coeff: Fraction
     half_exponent: int = 0
@@ -153,28 +129,6 @@ class PiPower:
         object.__setattr__(self, "coeff", _exact(self.coeff))
         if type(self.half_exponent) is not int or self.half_exponent < 0:
             _check_int("half_exponent", self.half_exponent, 0)
-
-    def __add__(self, other: "PiPower") -> "PiPower":
-        if self.half_exponent != other.half_exponent:
-            raise ValueError(
-                f"cannot add pi^{2 * self.half_exponent} and "
-                f"pi^{2 * other.half_exponent} terms"
-            )
-        return PiPower(self.coeff + other.coeff, self.half_exponent)
-
-    def __neg__(self) -> "PiPower":
-        return PiPower(-self.coeff, self.half_exponent)
-
-    def __sub__(self, other: "PiPower") -> "PiPower":
-        return self + (-other)
-
-    def __mul__(self, other: Union["PiPower", Scalar]) -> "PiPower":
-        if isinstance(other, PiPower):
-            return PiPower(self.coeff * other.coeff,
-                           self.half_exponent + other.half_exponent)
-        return PiPower(self.coeff * _exact(other), self.half_exponent)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if self.half_exponent == 0:

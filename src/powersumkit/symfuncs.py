@@ -1,26 +1,24 @@
 """Elementary / complete homogeneous symmetric functions, power sums, and
 the Newton-Girard machinery over exact finite sequences.
 
-Variable lists are a SequenceSpec or any iterable of ints / Fractions (a
-float or a bool raises TypeError).  The prefix DPs always return Fractions,
-even when integer-valued, so the inverse-squares sequence flows through the
-same code path; integer-valued callers check unit denominators at their own
-boundary (ConsistencyError).  power_sum_from_sigma_h is the one p/sigma/h
-relation: the Lang-type power sums and two zeta identities only build its
-sigma and h; newton_girard_power_sums is the one Newton-Girard recurrence,
-which s_newton_recurrence feeds with its own sigma.  Both use the entries
-they are given unchanged, so int entries give ints.
+Variable lists are any iterable of ints / Fractions, such as the tuples of
+sequences.sequence (a float or a bool raises TypeError).  The prefix DPs
+always return Fractions, even when integer-valued, so the inverse-squares
+sequence flows through the same code path; integer-valued callers check
+unit denominators at their own boundary (ConsistencyError).
+power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
+sums and two zeta identities only build its sigma and h;
+newton_girard_power_sums is the one Newton-Girard recurrence, which
+s_newton_recurrence feeds with its own sigma.  Both refuse floats and bools
+and use the entries they are given unchanged, so int entries give ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
-from .exact import Poly, _check_int, _exact
-from .sequences import SequenceSpec
-
-Vars = Union[SequenceSpec, Iterable]
+from .exact import Poly, Scalar, _check_int, _exact
 
 __all__ = [
     "elementary_prefix",
@@ -32,31 +30,27 @@ __all__ = [
 ]
 
 
-def _values(xs: Vars) -> Sequence[Fraction]:
-    if isinstance(xs, SequenceSpec):
-        return xs.values()
-    return [_exact(v) for v in xs]
-
-
-def elementary_prefix(xs: Vars, M: int) -> List[Fraction]:
+def elementary_prefix(xs: Iterable[Scalar], M: int) -> List[Fraction]:
     """[sigma_0, ..., sigma_M] by the one-variable-at-a-time product DP.
 
     Entries with index above the number of variables are zero.
     """
     _check_int("M", M, 0)
     sig = [Fraction(1)] + [Fraction(0)] * M
-    for x in _values(xs):
+    for x in xs:
+        x = _exact(x)
         for m in range(M, 0, -1):
             sig[m] += x * sig[m - 1]
     return sig
 
 
-def complete_prefix(xs: Vars, M: int) -> List[Fraction]:
+def complete_prefix(xs: Iterable[Scalar], M: int) -> List[Fraction]:
     """[h_0, ..., h_M] by the DP h_m <- h_m + x * h_{m-1} (h from the
     current, already-updated row: each variable may repeat)."""
     _check_int("M", M, 0)
     h = [Fraction(1)] + [Fraction(0)] * M
-    for x in _values(xs):
+    for x in xs:
+        x = _exact(x)
         for m in range(1, M + 1):
             h[m] += x * h[m - 1]
     return h
@@ -64,13 +58,20 @@ def complete_prefix(xs: Vars, M: int) -> List[Fraction]:
 
 def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
     """p_k = sum_{m=1}^{k} (-1)^(m-1) m sigma_m h_{k-m} from sigma = [sigma_1..sigma_k]
-    and h = [h_0..h_{k-1}]; values are used as given, so int inputs give an int."""
+    and h = [h_0..h_{k-1}]; values are used as given once _exact accepts them,
+    so int inputs give an int."""
     k = len(sigma)
     if len(h) != k:
         raise ValueError(f"need as many h values as sigma values, got {len(h)} and {k}")
     total = 0
     for m in range(1, k + 1):
-        term = m * sigma[m - 1] * h[k - m]
+        s, t = sigma[m - 1], h[k - m]
+        # inline test first: the power sums call this on every warm query
+        if type(s) is not int and type(s) is not Fraction \
+                or type(t) is not int and type(t) is not Fraction:
+            _exact(s)
+            _exact(t)
+        term = m * s * t
         total += term if m % 2 else -term
     return total
 
@@ -102,10 +103,10 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
     return p
 
 
-def orthogonality_residual(xs: Vars, k: int) -> Fraction:
+def orthogonality_residual(xs: Iterable[Scalar], k: int) -> Fraction:
     """sum_{i=0}^{k} (-1)^i sigma_i h_{k-i}; equals 1 at k=0 and 0 otherwise."""
     _check_int("k", k, 0)
-    vals = _values(xs)
+    vals = tuple(xs)
     sig = elementary_prefix(vals, k)
     h = complete_prefix(vals, k)
     total = Fraction(0)

@@ -20,7 +20,7 @@ from . import symfuncs as sf
 from . import zeta as zt
 from .exact import _check_int
 from .goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
-from .sequences import SequenceSpec
+from .sequences import sequence
 
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
 
@@ -103,7 +103,7 @@ _ORTHO_TAGS = ("naturals", "squares", "odd_squares", "doubled_triangulars")
 def _orthogonality(rep: VerifyReport, k_max, n_max) -> None:
     for tag in _ORTHO_TAGS:
         for n in range(0, n_max + 1):
-            seq = SequenceSpec(tag, n)
+            seq = sequence(tag, n)
             for k in range(0, k_max + 1):
                 expected = Fraction(1 if k == 0 else 0)
                 rep.check(f"orthogonality {tag} n={n} k={k}",
@@ -193,7 +193,7 @@ def _bernoulli(rep: VerifyReport, k_max, n_max) -> None:
 def _pn_coeffs(rep: VerifyReport, k_max, n_max) -> None:
     for n in range(1, n_max + 1):
         poly = sf.pn_polynomial_coeffs(n)
-        sig = sf.elementary_prefix(SequenceSpec("naturals", n), n)
+        sig = sf.elementary_prefix(sequence("naturals", n), n)
         for m in range(0, n):
             expected = (n - m) * sig[m] * (-1 if m % 2 else 1)
             rep.check(f"pn n={n} m={m}", expected, poly.coeff(m))

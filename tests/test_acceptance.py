@@ -13,7 +13,7 @@ import pytest
 
 from powersumkit import cli, powersums as ps, symfuncs as sf, zeta as zt
 from powersumkit.combinatorics import bernoulli_number
-from powersumkit.sequences import SequenceSpec
+from powersumkit.sequences import sequence
 from powersumkit.verify import run_suite
 
 
@@ -72,7 +72,7 @@ def test_criterion_7_pn_coefficient_law():
     failures = []
     for n in range(1, 13):
         poly = sf.pn_polynomial_coeffs(n)
-        sigma = sf.elementary_prefix(SequenceSpec("naturals", n), n)
+        sigma = sf.elementary_prefix(sequence("naturals", n), n)
         for m in range(n):
             if poly.coeff(m) != (n - m) * (-1) ** m * sigma[m]:
                 failures.append((n, m))

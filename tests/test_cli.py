@@ -49,18 +49,6 @@ class TestTable:
     def test_rows_over_cap_is_usage_error(self):
         assert run(["table", "--family", "stirling2", "--rows", "65"]) == 2
 
-    def test_rows_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("POWERSUMKIT_ROWS_CAP", "5")
-        assert run(["table", "--family", "stirling2", "--rows", "6"]) == 2
-        monkeypatch.setenv("POWERSUMKIT_ROWS_CAP", "100")
-        assert run(["table", "--family", "stirling2", "--rows", "70"]) == 0
-
-    def test_bad_rows_cap_env_is_usage_error(self, monkeypatch, capsys):
-        for raw in ("junk", "-5"):
-            monkeypatch.setenv("POWERSUMKIT_ROWS_CAP", raw)
-            assert run(["table", "--family", "stirling2", "--rows", "3"]) == 2
-            assert "POWERSUMKIT_ROWS_CAP" in capsys.readouterr().err
-
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_json_round_trip(self, family):
         rendered = render_table(family, 10, "json")

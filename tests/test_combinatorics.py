@@ -22,7 +22,7 @@ from powersumkit.combinatorics import (
 )
 from powersumkit.exact import ConsistencyError, Poly
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
-from powersumkit.sequences import SequenceSpec
+from powersumkit.sequences import sequence
 from powersumkit.symfuncs import complete_prefix, elementary_prefix
 
 
@@ -59,14 +59,14 @@ class TestStirling:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_sigma_identity(self, n):
         """[n+1 over n+1-m] = sigma_m(1..n)."""
-        sigma = elementary_prefix(SequenceSpec("naturals", n), n)
+        sigma = elementary_prefix(sequence("naturals", n), n)
         for m in range(n + 1):
             assert stirling_first_unsigned(n + 1, n + 1 - m) == sigma[m]
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_h_identity(self, n):
         """{n+m over n} = h_m(1..n)."""
-        h = complete_prefix(SequenceSpec("naturals", n), 14 - n)
+        h = complete_prefix(sequence("naturals", n), 14 - n)
         for m in range(14 - n + 1):
             assert stirling_second(n + m, n) == h[m]
 
@@ -135,8 +135,8 @@ class TestCentralFactorial:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_even_families_match_squares(self, n):
-        sigma = elementary_prefix(SequenceSpec("squares", n), n)
-        h = complete_prefix(SequenceSpec("squares", n), 6)
+        sigma = elementary_prefix(sequence("squares", n), n)
+        h = complete_prefix(sequence("squares", n), 6)
         for m in range(n + 1):
             assert central_factorial_first(n + 1, n + 1 - m, Parity.EVEN) == \
                 (-1) ** m * sigma[m]
@@ -145,8 +145,8 @@ class TestCentralFactorial:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_odd_families_match_odd_squares(self, n):
-        sigma = elementary_prefix(SequenceSpec("odd_squares", n), n)
-        h = complete_prefix(SequenceSpec("odd_squares", n), 6)
+        sigma = elementary_prefix(sequence("odd_squares", n), n)
+        h = complete_prefix(sequence("odd_squares", n), 6)
         for m in range(n + 1):
             assert central_factorial_first(n, n - m, Parity.ODD) == \
                 (-1) ** m * sigma[m]

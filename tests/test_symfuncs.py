@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersumkit.exact import Poly
-from powersumkit.sequences import SequenceSpec
+from powersumkit.sequences import sequence
 from powersumkit.symfuncs import (
     complete_prefix,
     elementary_prefix,
@@ -32,8 +32,7 @@ small_vars = st.lists(
 
 def power_sums_direct(xs, M):
     """[p_1, ..., p_M] by direct exponentiation and summation: the oracle."""
-    vals = xs.values() if isinstance(xs, SequenceSpec) else xs
-    return [sum((x ** m for x in vals), Fraction(0)) for m in range(1, M + 1)]
+    return [sum((x ** m for x in xs), Fraction(0)) for m in range(1, M + 1)]
 
 
 def power_sum_via_lang(xs, k):
@@ -42,15 +41,15 @@ def power_sum_via_lang(xs, k):
 
 
 def test_elementary_naturals_3():
-    assert elementary_prefix(SequenceSpec("naturals", 3), 2) == [1, 6, 11]
+    assert elementary_prefix(sequence("naturals", 3), 2) == [1, 6, 11]
 
 
 def test_elementary_ones_is_binomial_row():
-    assert elementary_prefix(SequenceSpec("ones", 4), 3) == [1, 4, 6, 4]
+    assert elementary_prefix(sequence("ones", 4), 3) == [1, 4, 6, 4]
 
 
 def test_elementary_m_zero():
-    assert elementary_prefix(SequenceSpec("squares", 9), 0) == [1]
+    assert elementary_prefix(sequence("squares", 9), 0) == [1]
 
 
 def test_elementary_empty_sequence():
@@ -59,33 +58,33 @@ def test_elementary_empty_sequence():
 
 def test_complete_naturals_2():
     # h_m(1, 2) = 2^(m+1) - 1
-    assert complete_prefix(SequenceSpec("naturals", 2), 3) == [1, 3, 7, 15]
+    assert complete_prefix(sequence("naturals", 2), 3) == [1, 3, 7, 15]
 
 
 def test_complete_ones():
-    assert complete_prefix(SequenceSpec("ones", 3), 2) == [1, 3, 6]
+    assert complete_prefix(sequence("ones", 3), 2) == [1, 3, 6]
 
 
 def test_complete_doubled_triangulars():
-    assert complete_prefix(SequenceSpec("doubled_triangulars", 2), 3) == [1, 8, 52, 320]
+    assert complete_prefix(sequence("doubled_triangulars", 2), 3) == [1, 8, 52, 320]
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(0, 9)])
 def test_ones_rows_match_binomials(n, m):
-    assert elementary_prefix(SequenceSpec("ones", n), m)[m] == comb(n, m)
-    assert complete_prefix(SequenceSpec("ones", n), m)[m] == comb(n + m - 1, m)
+    assert elementary_prefix(sequence("ones", n), m)[m] == comb(n, m)
+    assert complete_prefix(sequence("ones", n), m)[m] == comb(n + m - 1, m)
 
 
 def test_power_sums_direct():
-    assert power_sums_direct(SequenceSpec("naturals", 4), 2) == [10, 30]
-    assert power_sums_direct(SequenceSpec("odd_squares", 2), 1) == [10]
-    assert power_sums_direct(SequenceSpec("ones", 5), 3) == [5, 5, 5]
+    assert power_sums_direct(sequence("naturals", 4), 2) == [10, 30]
+    assert power_sums_direct(sequence("odd_squares", 2), 1) == [10]
+    assert power_sums_direct(sequence("ones", 5), 3) == [5, 5, 5]
 
 
 def test_power_sum_via_lang_examples():
-    assert power_sum_via_lang(SequenceSpec("naturals", 2), 2) == 5
-    assert power_sum_via_lang(SequenceSpec("ones", 3), 4) == 3
-    inv = SequenceSpec("inverse_squares", 50)
+    assert power_sum_via_lang(sequence("naturals", 2), 2) == 5
+    assert power_sum_via_lang(sequence("ones", 3), 4) == 3
+    inv = sequence("inverse_squares", 50)
     assert power_sum_via_lang(inv, 1) == sum(Fraction(1, i * i) for i in range(1, 51))
 
 
@@ -102,14 +101,14 @@ def test_power_sum_from_sigma_h():
 @pytest.mark.parametrize("tag", ALL_TAGS)
 @pytest.mark.parametrize("n", range(0, 13, 3))
 def test_lang_matches_direct_all_tags(tag, n):
-    seq = SequenceSpec(tag, n)
+    seq = sequence(tag, n)
     direct = power_sums_direct(seq, 10)
     for k in range(1, 11):
         assert power_sum_via_lang(seq, k) == direct[k - 1]
 
 
 def test_newton_girard_naturals_3():
-    sigma = elementary_prefix(SequenceSpec("naturals", 3), 3)
+    sigma = elementary_prefix(sequence("naturals", 3), 3)
     assert newton_girard_power_sums(sigma, 3) == [6, 14, 36]
     ints = newton_girard_power_sums([1, 6, 11, 6], 3)
     assert ints == [6, 14, 36] and {type(p) for p in ints} == {int}
@@ -137,9 +136,9 @@ def test_newton_girard_matches_direct(xs, K):
 
 
 def test_orthogonality_examples():
-    assert orthogonality_residual(SequenceSpec("naturals", 5), 0) == 1
-    assert orthogonality_residual(SequenceSpec("naturals", 5), 3) == 0
-    assert orthogonality_residual(SequenceSpec("doubled_triangulars", 4), 6) == 0
+    assert orthogonality_residual(sequence("naturals", 5), 0) == 1
+    assert orthogonality_residual(sequence("naturals", 5), 3) == 0
+    assert orthogonality_residual(sequence("doubled_triangulars", 4), 6) == 0
 
 
 @given(small_vars, st.integers(0, 10))
@@ -158,12 +157,18 @@ def test_pn_poly_base_cases():
 def test_pn_coefficient_law(n):
     """Coefficient of x^m is (n-m) * (-1)^m * sigma_m(1..n)."""
     poly = pn_polynomial_coeffs(n)
-    sigma = elementary_prefix(SequenceSpec("naturals", n), n)
-    assert poly.degree == n - 1
+    sigma = elementary_prefix(sequence("naturals", n), n)
+    assert len(poly.coeffs) == n
     for m in range(n):
         assert poly.coeff(m) == (n - m) * (-1) ** m * sigma[m]
 
 
 def test_unknown_sequence_tag_fails_at_construction():
     with pytest.raises(ValueError):
-        SequenceSpec("bogus", 3)
+        sequence("bogus", 3)
+
+
+def test_sequence_terms_are_ints_except_inverse_squares():
+    for tag in ALL_TAGS:
+        kind = Fraction if tag == "inverse_squares" else int
+        assert {type(x) for x in sequence(tag, 4)} == {kind}, tag
