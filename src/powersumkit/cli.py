@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
 ValueError from the library) or out of memory.
-All numeric output is exact; the only floating-point rendering is the
-clearly-marked decimal approximation printed by `zeta`.
+All numeric output is exact, and printed in full; the only floating-point
+rendering is the clearly-marked decimal approximation printed by `zeta`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ _FAMILIES: Dict[str, Callable[[int], List[object]]] = {
 
 def table_rows(family: str, rows: int) -> List[List[str]]:
     """Rows 0..rows as exact decimal / fraction strings."""
-    row = _FAMILIES[family]
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
     return [[str(cell) for cell in row(n)] for n in range(rows + 1)]
 
 
@@ -137,12 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # print exact values of any size: lift the int-to-str digit limit, if any
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     try:
+        set_limit(0)
         return args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))
     except MemoryError:
         parser.exit(2, f"{parser.prog}: error: out of memory; try smaller inputs\n")
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -65,8 +65,7 @@ class Poly:
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of x**m, zero outside the stored range."""
-        if type(m) is not int:
-            _check_int("m", m)
+        _check_int("m", m)
         if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
         return Fraction(0)

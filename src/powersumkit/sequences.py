@@ -32,8 +32,6 @@ def sequence(tag: str, n: int, start: int = 1) -> Tuple[Scalar, ...]:
     """The terms start..n of the sequence named `tag`."""
     if tag not in _TERMS:
         raise ValueError(f"unknown sequence tag {tag!r}")
-    # inline test first: every sigma/h cache miss builds a sequence
-    if type(n) is not int or type(start) is not int or n < 0 or start < 1:
-        _check_int("n", n, 0)
-        _check_int("start", start, 1)
+    _check_int("n", n, 0)
+    _check_int("start", start, 1)
     return tuple(map(_TERMS[tag], range(start, n + 1)))

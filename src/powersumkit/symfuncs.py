@@ -7,7 +7,7 @@ always return Fractions, even when integer-valued, so the inverse-squares
 sequence flows through the same code path; integer-valued callers check
 unit denominators at their own boundary (ConsistencyError).
 power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
-sums and two zeta identities only build its sigma and h;
+sums and h_inverse_squares_check only build its sigma and h;
 newton_girard_power_sums is the one Newton-Girard recurrence, which
 s_newton_recurrence feeds with its own sigma.  Both refuse floats and bools
 and use the entries they are given unchanged, so int entries give ints.

@@ -5,7 +5,8 @@ zeta(2k) values always come from the recursion in zeta_even_exact, run
 on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators; it reads no Bernoulli number, so
 zeta_even_classical, the Bernoulli closed form over the tangent-number
-Bernoulli numbers, is an independent check of it.
+Bernoulli numbers, is an independent check of it; bernoulli_even_recursion
+reads the same g as B_2k = (-1)^(k+1) 2 g_k, by Euler's formula.
 h_inverse_squares_check, a verification op only, reads its sigma from
 sigma_inverse_squares.
 """
@@ -15,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .combinatorics import bernoulli_number, bernoulli_polynomial, legendre_stirling_first, legendre_stirling_second
+from .combinatorics import bernoulli_number, bernoulli_polynomial
 from .exact import PiPower, _check_int
+from .powersums import triangular_sum_ls
 from .symfuncs import power_sum_from_sigma_h
 from .tables import recurrence
 
@@ -110,11 +112,7 @@ def bernoulli_binomial_identity(k: int) -> Fraction:
 def merca_ls_bernoulli_identity(k: int, n: int) -> Fraction:
     """Residual of -sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n) =
     (-1)^k/((k+1) C(2k+2,k+1)) + sum_j C(k,j) B_{k+j+1}(n+1)/(k+j+1)."""
-    _check_int("k", k, 1)
-    _check_int("n", n, 1)
-    lhs = power_sum_from_sigma_h(
-        [(-1) ** m * legendre_stirling_first(n + 1, n + 1 - m) for m in range(1, k + 1)],
-        [legendre_stirling_second(n + j, n) for j in range(k)])
+    lhs = 2 ** k * triangular_sum_ls(k, n)  # which checks k and n
     rhs = Fraction((-1) ** k, (k + 1) * comb(2 * k + 2, k + 1))
     for j in range(0, k + 1):
         rhs += comb(k, j) * bernoulli_polynomial(k + j + 1)(n + 1) / (k + j + 1)
@@ -122,15 +120,8 @@ def merca_ls_bernoulli_identity(k: int, n: int) -> Fraction:
 
 
 def bernoulli_even_recursion(k: int) -> Fraction:
-    """B_{2k} computed solely from
-    B_{2k} = (2/(2k+1)) sum_{j=1}^{k} j C(2k+1, 2j+1)
-             (1/2^(2k-1) - 1/2^(2j)) B_{2k-2j},
-    with base value B_0 = 1."""
+    """B_{2k} = (-1)^(k+1) 2 g_k off the zeta(2k) recursion on g, which with
+    g_j = (-1)^(j+1) B_{2j}/2 reads B_{2k} = (2/(2k+1)) sum_{j=1}^{k}
+    j C(2k+1, 2j+1) (1/2^(2k-1) - 1/2^(2j)) B_{2k-2j},  B_0 = 1."""
     _check_int("k", k, 1)
-    b_even = [Fraction(1)]  # B_0, B_2, ..., B_{2i}
-    for i in range(1, k + 1):
-        total = sum(j * comb(2 * i + 1, 2 * j + 1)
-                    * (Fraction(1, 2 ** (2 * i - 1)) - Fraction(1, 2 ** (2 * j)))
-                    * b_even[i - j] for j in range(1, i + 1))
-        b_even.append(Fraction(2, 2 * i + 1) * total)
-    return b_even[k]
+    return (2 if k % 2 else -2) * _zeta_scaled(k)

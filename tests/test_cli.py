@@ -46,6 +46,10 @@ class TestTable:
     def test_unknown_family_is_usage_error(self):
         assert run(["table", "--family", "nope", "--rows", "3"]) == 2
 
+    def test_unknown_family_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            render_table("nope", 3, "plain")
+
     def test_rows_over_cap_is_usage_error(self):
         assert run(["table", "--family", "stirling2", "--rows", "65"]) == 2
 
@@ -96,6 +100,24 @@ class TestPowersum:
     def test_bad_parameters_are_usage_errors(self):
         assert run(["powersum", "--k", "-1", "--n", "3"]) == 2
         assert run(["powersum", "--k", "2", "--n", "0"]) == 2
+
+    def test_value_past_the_int_str_digit_limit_is_printed_in_full(self, capsys):
+        """S_3000(30) has more digits than the interpreter's default limit on
+        int-to-str conversion; the CLI prints all of them and then puts the
+        limit back as it found it."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run(["powersum", "--k", "3000", "--n", "30", "--method", "brute"]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        head, digits = capsys.readouterr().out.rstrip("\n").split(": ")
+        assert head == "brute" and len(digits) > 4300
+        value = 0  # int(digits), read in chunks that stay under the limit
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == sum(i ** 3000 for i in range(1, 31))
+        if limit is not None:
+            # the input is still parsed under the limit
+            assert run(["zeta", "--k", "9" * 5000]) == 2
 
 
 class TestVerify:

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from powersumkit import powersums
+from powersumkit import powersums, zeta
 from powersumkit.cli import main
 from powersumkit.exact import ConsistencyError
+from powersumkit.powersums import Method
 from powersumkit.verify import SUITES, VerifyReport, run_suite
 
 
@@ -22,6 +23,11 @@ def test_bound_below_1_is_rejected(name):
 def test_report_cells_is_a_count(bad):
     with pytest.raises((TypeError, ValueError), match="cells must be"):
         VerifyReport("x", cells=bad)
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
 
 
 def test_default_grids_keep_the_benchmark_cell_count():
@@ -76,3 +82,37 @@ def test_range_r1_cells_do_not_share_the_sum_they_check(monkeypatch):
     monkeypatch.setattr(powersums, "power_sum_from_sigma_h", lambda s, h: shared(s, h) + 1)
     failed = [cell for cell, _, _ in run_suite("range", 3, 4).failures]
     assert len([cell for cell in failed if cell.startswith("range r=1 ")]) == 3 * 4
+
+
+def test_concordance_brute_cells_do_not_check_brute_against_itself(monkeypatch):
+    """The brute cells compare s_brute with a direct sum written in verify,
+    so an error in s_brute fails all of them and no other cell."""
+    brute = powersums.s_brute
+
+    def off_by_one(k, n, r=1):
+        return brute(k, n, r) + 1
+
+    monkeypatch.setattr(powersums, "s_brute", off_by_one)
+    monkeypatch.setitem(powersums._METHODS, Method.BRUTE, off_by_one)
+    failed = {cell for cell, _, _ in run_suite("concordance").failures}
+    assert failed == {f"concordance k={k} n={n} brute"
+                      for k in range(1, 13) for n in range(1, 26)}
+
+
+def test_a_fault_in_the_zeta_recursion_fails_the_bernoulli_cells_too(monkeypatch):
+    """bernoulli_even_recursion reads g_k of the zeta(2k) recursion, so an
+    error in g_4 fails `bernoulli even-recursion k=4`, checked against the
+    tangent-number Bernoulli numbers, as well as the zeta cells that read c_4."""
+    scaled, coeff = zeta._zeta_scaled, zeta._zeta_coeff
+    monkeypatch.setattr(zeta, "_zeta_scaled",
+                        lambda k: scaled(k) + (Fraction(1, 10 ** 6) if k == 4 else 0))
+    scaled.cache_clear()
+    coeff.cache_clear()
+    try:
+        failed = {cell for name in ("zeta", "bernoulli")
+                  for cell, _, _ in run_suite(name).failures}
+    finally:
+        scaled.cache_clear()
+        coeff.cache_clear()
+    assert failed == {"zeta classical-oracle k=4", "bernoulli even-recursion k=4",
+                      *(f"zeta h-consistency k={k}" for k in range(4, 16))}
