@@ -16,9 +16,12 @@ symfuncs; the classical Stirling triangles use their own recurrences so
 the sigma/h identities are real cross-checks.
 
 The Bernoulli numbers come from the tangent numbers (Brent and Harvey),
-all in ints; the Fraction recursion they are checked against,
-bernoulli_even_recursion, lives in zeta, and the zeta(2k) recursion there
-reads no Bernoulli number.
+all in ints.  The `zeta classical-oracle` cells check them, through the
+Bernoulli closed form of zeta(2k), against the zeta(2k) recursion in zeta,
+which reads no Bernoulli number; the `bernoulli even-recursion` cells check
+that recursion, read as B_2k, against the defining recurrence
+sum_{j<=k} C(k+1, j) B_j = 0 written in verify.  A Bernoulli polynomial is
+only ever evaluated, so bernoulli_polynomial takes its point.
 
 All functions are pure.  The Stirling rows and the Bernoulli numbers are
 built bottom-up in `tables.recurrence` tables (the Bernoulli numbers a
@@ -31,10 +34,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, lcm
 from typing import List, Optional, Tuple
 
-from .exact import Poly, _as_int, _check_int
+from .exact import Poly, Scalar, _as_int, _check_int
 from .sequences import sequence
 from .symfuncs import complete_prefix, elementary_prefix
 from .tables import recurrence
@@ -247,14 +250,23 @@ def _bernoulli(terms, j: int) -> List[Fraction]:
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k with the convention B_1 = -1/2, from the tangent numbers (Brent
-    and Harvey), an all-integer route; bernoulli_even_recursion in zeta is
-    the Fraction recursion it is checked against."""
+    and Harvey), an all-integer route; the `zeta classical-oracle` cells
+    check it against the zeta(2k) recursion."""
     if type(k) is not int or k < 0:
         _check_int("k", k, 0)
     return _bernoulli(k)
 
 
-def bernoulli_polynomial(k: int) -> Poly:
-    """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k."""
+def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
+    """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k.  With D the
+    lcm of the denominators of B_0..B_k, the int polynomial D B_k(x) is
+    evaluated at x and divided by D."""
     _check_int("k", k, 0)
-    return Poly(comb(k, d) * _bernoulli(k - d) for d in range(k + 1))
+    bs = [_bernoulli(i) for i in range(k + 1)]
+    d = lcm(*(b.denominator for b in bs))
+    coeffs, c = [], 1  # c = C(k, m), the binomial of x^m, stepped along row k
+    for m in range(k + 1):
+        b = bs[k - m]
+        coeffs.append(c * b.numerator * (d // b.denominator))
+        c = c * (k - m) // (m + 1)
+    return Poly(coeffs)(x) / d

@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: dense rational polynomials and rational
+"""Exact arithmetic substrate: dense integer polynomials and rational
 multiples of even powers of pi.
 
 Everything here is immutable and pure; no floating point appears in any
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -49,7 +48,7 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 class Poly:
-    """Dense polynomial with exact rational coefficients.
+    """Dense polynomial with int coefficients.
 
     ``coeffs[i]`` is the coefficient of x**i.  Trailing zeros are trimmed,
     so the zero polynomial is canonically the empty coefficient tuple.
@@ -57,60 +56,36 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                _check_int("coefficient", c)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    def coeff(self, m: int) -> Fraction:
-        """Coefficient of x**m, zero outside the stored range."""
-        _check_int("m", m)
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return Fraction(0)
-
     def __call__(self, x: Scalar) -> Fraction:
-        """P(p/q) by Horner's rule on ints: with D the lcm of the coefficient
-        denominators, D q^n P(p/q) = sum_i (D c_i) p^i q^(n-i), one Fraction
-        at the end."""
+        """P(p/q) by Horner's rule on ints, q^n P(p/q) = sum_i c_i p^i q^(n-i),
+        one Fraction at the end."""
         x = _exact(x)
-        cs = self.coeffs
-        if not cs:
+        if not self.coeffs:
             return Fraction(0)
         p, q = x.numerator, x.denominator
-        d = lcm(*(c.denominator for c in cs))
         acc, q_power = 0, 1
-        for c in reversed(cs):
-            acc = acc * p + c.numerator * (d // c.denominator) * q_power
+        for c in reversed(self.coeffs):
+            acc = acc * p + c * q_power
             q_power *= q
-        return Fraction(acc, d * q ** (len(cs) - 1))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Fraction(acc, q_power // q)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         return Poly(out)
 
     def __repr__(self) -> str:

@@ -168,7 +168,7 @@ def s_odd_even_powers_poly(k: int, n: int) -> int:
     total = Fraction(0)
     for j in range(0, k + 1):
         total += comb(2 * k + 1, 2 * j + 1) \
-            * bernoulli_polynomial(2 * k - 2 * j)(half) * n ** (2 * j + 1)
+            * bernoulli_polynomial(2 * k - 2 * j, half) * n ** (2 * j + 1)
     total *= Fraction(2 ** (2 * k), 2 * k + 1)
     return _as_int(total, "odd-power Bernoulli polynomial form")
 
@@ -191,8 +191,9 @@ def triangular_sum_binomial(k: int, n: int) -> int:
     _check_query("triangular-binomial", k, n)
     total = Fraction(0)
     for j in range(0, k + 1):
-        bp = bernoulli_polynomial(k + j + 1)
-        total += comb(k, j) * (bp(n + 1) - bp(1)) / (k + j + 1)
+        m = k + j + 1
+        total += comb(k, j) \
+            * (bernoulli_polynomial(m, n + 1) - bernoulli_polynomial(m, 1)) / m
     return _as_int(total / 2 ** k, "triangular binomial sum")
 
 

@@ -4,31 +4,27 @@ are evaluated over.
 sequence(tag, n, start) is the tuple of terms term(start), ..., term(n) of
 its tag: for instance sequence("naturals", n, r) is r, r+1, ..., n (empty
 when n < start) and sequence("odd_squares", n) is 1^2, 3^2, ..., (2n-1)^2.
-The terms are ints for every tag except ``inverse_squares``, whose terms
-are Fractions.  n >= 0 and start >= 1 are checked.
+The terms are ints.  n >= 0 and start >= 1 are checked.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Tuple
 
-from .exact import Scalar, _check_int
+from .exact import _check_int
 
 __all__ = ["sequence"]
 
 # tag -> term i; a sequence holds terms start..n
 _TERMS = {
     "naturals": lambda i: i,
-    "ones": lambda i: 1,
     "squares": lambda i: i * i,
     "odd_squares": lambda i: (2 * i - 1) ** 2,
     "doubled_triangulars": lambda i: i * (i + 1),
-    "inverse_squares": lambda i: Fraction(1, i * i),
 }
 
 
-def sequence(tag: str, n: int, start: int = 1) -> Tuple[Scalar, ...]:
+def sequence(tag: str, n: int, start: int = 1) -> Tuple[int, ...]:
     """The terms start..n of the sequence named `tag`."""
     if tag not in _TERMS:
         raise ValueError(f"unknown sequence tag {tag!r}")

@@ -3,9 +3,9 @@ the Newton-Girard machinery over exact finite sequences.
 
 Variable lists are any iterable of ints / Fractions, such as the tuples of
 sequences.sequence (a float or a bool raises TypeError).  The prefix DPs
-always return Fractions, even when integer-valued, so the inverse-squares
-sequence flows through the same code path; integer-valued callers check
-unit denominators at their own boundary (ConsistencyError).
+always return Fractions, even when integer-valued, so Fraction variables
+take the same code path; integer-valued callers check unit denominators at
+their own boundary (ConsistencyError).
 power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
 sums and h_inverse_squares_check only build its sigma and h;
 newton_girard_power_sums is the one Newton-Girard recurrence, which
@@ -123,11 +123,12 @@ def pn_polynomial_coeffs(n: int) -> Poly:
     Its x^m coefficient equals (n-m) * (-1)^m * sigma_m(1..n).
     """
     _check_int("n", n, 1)
-    total = Poly()
+    products = []
     for j in range(1, n + 1):
         prod = Poly([1])
         for l in range(1, n + 1):
             if l != j:
                 prod = prod * Poly([1, -l])
-        total = total + prod
-    return total
+        products.append(prod.coeffs)
+    # each product has degree n-1, so all n coefficient lists are as long
+    return Poly(map(sum, zip(*products)))

@@ -6,7 +6,8 @@ on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators; it reads no Bernoulli number, so
 zeta_even_classical, the Bernoulli closed form over the tangent-number
 Bernoulli numbers, is an independent check of it; bernoulli_even_recursion
-reads the same g as B_2k = (-1)^(k+1) 2 g_k, by Euler's formula.
+reads the same g as B_2k = (-1)^(k+1) 2 g_k, by Euler's formula, and verify
+checks it against the defining recurrence of the Bernoulli numbers.
 h_inverse_squares_check, a verification op only, reads its sigma from
 sigma_inverse_squares.
 """
@@ -115,7 +116,7 @@ def merca_ls_bernoulli_identity(k: int, n: int) -> Fraction:
     lhs = 2 ** k * triangular_sum_ls(k, n)  # which checks k and n
     rhs = Fraction((-1) ** k, (k + 1) * comb(2 * k + 2, k + 1))
     for j in range(0, k + 1):
-        rhs += comb(k, j) * bernoulli_polynomial(k + j + 1)(n + 1) / (k + j + 1)
+        rhs += comb(k, j) * bernoulli_polynomial(k + j + 1, n + 1) / (k + j + 1)
     return lhs - rhs
 
 

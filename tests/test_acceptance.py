@@ -74,7 +74,7 @@ def test_criterion_7_pn_coefficient_law():
         poly = sf.pn_polynomial_coeffs(n)
         sigma = sf.elementary_prefix(sequence("naturals", n), n)
         for m in range(n):
-            if poly.coeff(m) != (n - m) * (-1) ** m * sigma[m]:
+            if poly.coeffs[m] != (n - m) * (-1) ** m * sigma[m]:
                 failures.append((n, m))
     assert _report("7 pn-coefficient-law", not failures), failures
 

@@ -20,7 +20,7 @@ from powersumkit.combinatorics import (
     _sigma_int,
     _stirling1_row,
 )
-from powersumkit.exact import ConsistencyError, Poly
+from powersumkit.exact import ConsistencyError
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
 from powersumkit.sequences import sequence
 from powersumkit.symfuncs import complete_prefix, elementary_prefix
@@ -78,9 +78,14 @@ class TestStirling:
         assert _stirling1_row(9) == grown
 
 
-def test_non_integer_sigma_is_consistency_error():
+def test_non_integer_sigma_is_consistency_error(monkeypatch):
+    """Every sequence tag has int terms, so Fraction variables reach the
+    integrality check only through a patched sequence."""
+    monkeypatch.setattr(combinatorics, "sequence",
+                        lambda tag, n, start: tuple(Fraction(1, i * i) for i in range(start, n + 1)))
+    _sigma_int.cache_clear()
     with pytest.raises(ConsistencyError):
-        _sigma_int("inverse_squares", 3, 1, 1)
+        _sigma_int("naturals", 3, 1, 1)
 
 
 class TestRStirling:
@@ -187,21 +192,19 @@ class TestBernoulli:
             assert bernoulli_number(k) == 0
 
     def test_polynomial_examples(self):
-        assert bernoulli_polynomial(2)(Fraction(1, 2)) == Fraction(-1, 12)
-        assert bernoulli_polynomial(1)(1) == Fraction(1, 2)
+        assert bernoulli_polynomial(2, Fraction(1, 2)) == Fraction(-1, 12)
+        assert bernoulli_polynomial(1, 1) == Fraction(1, 2)
 
     @pytest.mark.parametrize("k", range(0, 13))
     def test_polynomial_at_zero_is_number(self, k):
-        assert bernoulli_polynomial(k)(0) == bernoulli_number(k)
+        assert bernoulli_polynomial(k, 0) == bernoulli_number(k)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_telescoping_at_one(self, k):
-        bp = bernoulli_polynomial(k)
-        assert bp(1) - bp(0) == 0
+        assert bernoulli_polynomial(k, 1) - bernoulli_polynomial(k, 0) == 0
 
     def test_b1_difference_pattern(self):
-        bp1 = bernoulli_polynomial(1)
-        assert bp1(1) - bernoulli_number(1) == 1
+        assert bernoulli_polynomial(1, 1) - bernoulli_number(1) == 1
 
 
 def _bernoulli_by_recurrence(kmax):
@@ -230,6 +233,10 @@ class TestBernoulliAgainstRecurrence:
 
     @pytest.mark.parametrize("k", range(0, 61))
     def test_polynomials_match_the_recurrence(self, k):
-        # B_k(x) = sum_i C(k, i) B_i x^(k-i)
-        expected = Poly(comb(k, d) * ORACLE_B[k - d] for d in range(k + 1))
-        assert bernoulli_polynomial(k) == expected
+        # B_k(x) = sum_i C(k, i) B_i x^(k-i), by a Fraction Horner loop
+        for x in (0, 1, -1, 51, Fraction(1, 2), Fraction(-3, 7), Fraction(22, 5)):
+            expected = Fraction(0)
+            for d in range(k, -1, -1):
+                expected = expected * x + comb(k, d) * ORACLE_B[k - d]
+            got = bernoulli_polynomial(k, x)
+            assert type(got) is Fraction and got == expected, x

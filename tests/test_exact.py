@@ -14,17 +14,18 @@ from powersumkit.symfuncs import (
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
+ints = st.integers(-10 ** 6, 10 ** 6)
 
 
 class TestPoly:
     def test_eval_b2_at_half(self):
-        # x^2 - x + 1/6 at 1/2
-        p = Poly([Fraction(1, 6), -1, 1])
-        assert p(Fraction(1, 2)) == Fraction(-1, 12)
+        # 6 B_2(x) = 6x^2 - 6x + 1 at 1/2
+        p = Poly([1, -6, 6])
+        assert p(Fraction(1, 2)) == Fraction(-1, 2)
 
     def test_eval_zero_poly(self):
         assert Poly()(Fraction(3, 7)) == 0
-        assert Poly([0, 0]) == Poly()
+        assert Poly([0, 0]).coeffs == ()
 
     def test_eval_identity(self):
         assert Poly([0, 1])(5) == 5
@@ -34,20 +35,17 @@ class TestPoly:
         assert Poly([2, 0, 0]).coeffs == (2,)
         assert Poly([1, 2, 3]).coeffs == (1, 2, 3)
 
-    def test_coeff_out_of_range(self):
-        assert Poly([1, 2]).coeff(5) == 0
-
     @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)])
-    def test_coeff_index_is_an_int(self, bad):
-        with pytest.raises(TypeError, match="m must be an int"):
-            Poly([1, 2]).coeff(bad)
+    def test_coefficients_must_be_ints(self, bad):
+        with pytest.raises(TypeError, match="coefficient must be an int"):
+            Poly([1, bad])
 
-    @given(st.lists(rationals, max_size=8),
+    @given(st.lists(ints, max_size=8),
            st.one_of(rationals, st.integers(-10 ** 6, 10 ** 6)))
     @example([], Fraction(3, 7))
     @example([1, 2, 3], 0)
-    @example([Fraction(1, 6), -1, 1], Fraction(-1, 2))
-    @example([Fraction(-2, 3), 0, Fraction(5, 4)], -7)
+    @example([1, -6, 6], Fraction(-1, 2))
+    @example([-8, 0, 15], -7)
     def test_eval_equals_fraction_horner(self, cs, x):
         """The integer Horner loop agrees with a plain Fraction loop and
         returns a reduced Fraction."""
@@ -59,16 +57,18 @@ class TestPoly:
 
     def test_mul(self):
         # (1 - x)(1 - 2x) = 1 - 3x + 2x^2
-        assert Poly([1, -1]) * Poly([1, -2]) == Poly([1, -3, 2])
+        assert (Poly([1, -1]) * Poly([1, -2])).coeffs == (1, -3, 2)
+        assert (Poly() * Poly([1, 2])).coeffs == ()
 
-    @given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6),
-           rationals)
+    @given(st.lists(ints, max_size=6), st.lists(ints, max_size=6), rationals)
     def test_eval_additive(self, a, b, x):
-        p, q = Poly(a), Poly(b)
-        assert (p + q)(x) == p(x) + q(x)
+        """Evaluation is linear in the coefficients."""
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        summed = Poly([s + t for s, t in zip(a, b)])
+        assert summed(x) == Poly(a)(x) + Poly(b)(x)
 
-    @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),
-           rationals)
+    @given(st.lists(ints, max_size=5), st.lists(ints, max_size=5), rationals)
     def test_eval_multiplicative(self, a, b, x):
         p, q = Poly(a), Poly(b)
         assert (p * q)(x) == p(x) * q(x)

@@ -84,7 +84,7 @@ NOT_INTS = (True, 2.0, Fraction(2))
 # fails only through the argument under test: by the parameter's type, or by
 # its name for a str (a suite name or a sequence tag)
 VALID = {int: 2, Optional[int]: 2, Method: Method.BRUTE, Parity: Parity.EVEN,
-         Iterable[exact.Scalar]: (1, 2), Sequence[Fraction]: [1]}
+         exact.Scalar: Fraction(1, 2), Iterable[exact.Scalar]: (1, 2), Sequence[Fraction]: [1]}
 VALID_STR = {"name": "zeta", "tag": "naturals"}
 
 

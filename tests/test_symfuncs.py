@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersumkit.exact import Poly
 from powersumkit.sequences import sequence
 from powersumkit.symfuncs import (
     complete_prefix,
@@ -16,14 +15,19 @@ from powersumkit.symfuncs import (
     power_sum_from_sigma_h,
 )
 
-ALL_TAGS = [
-    "naturals",
-    "ones",
-    "squares",
-    "odd_squares",
-    "doubled_triangulars",
-    "inverse_squares",
-]
+LIBRARY_TAGS = ["naturals", "squares", "odd_squares", "doubled_triangulars"]
+# two more variable sets, built here: n ones, and the inverse squares as Fractions
+EXTRA_SETS = {
+    "ones": lambda n: (1,) * n,
+    "inverse_squares": lambda n: tuple(Fraction(1, i * i) for i in range(1, n + 1)),
+}
+ALL_TAGS = LIBRARY_TAGS + list(EXTRA_SETS)
+
+
+def variables(tag, n):
+    """The first n terms of a library sequence or of one of EXTRA_SETS."""
+    return EXTRA_SETS[tag](n) if tag in EXTRA_SETS else sequence(tag, n)
+
 
 small_vars = st.lists(
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
@@ -45,7 +49,7 @@ def test_elementary_naturals_3():
 
 
 def test_elementary_ones_is_binomial_row():
-    assert elementary_prefix(sequence("ones", 4), 3) == [1, 4, 6, 4]
+    assert elementary_prefix(variables("ones", 4), 3) == [1, 4, 6, 4]
 
 
 def test_elementary_m_zero():
@@ -62,7 +66,7 @@ def test_complete_naturals_2():
 
 
 def test_complete_ones():
-    assert complete_prefix(sequence("ones", 3), 2) == [1, 3, 6]
+    assert complete_prefix(variables("ones", 3), 2) == [1, 3, 6]
 
 
 def test_complete_doubled_triangulars():
@@ -71,20 +75,20 @@ def test_complete_doubled_triangulars():
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(0, 9)])
 def test_ones_rows_match_binomials(n, m):
-    assert elementary_prefix(sequence("ones", n), m)[m] == comb(n, m)
-    assert complete_prefix(sequence("ones", n), m)[m] == comb(n + m - 1, m)
+    assert elementary_prefix(variables("ones", n), m)[m] == comb(n, m)
+    assert complete_prefix(variables("ones", n), m)[m] == comb(n + m - 1, m)
 
 
 def test_power_sums_direct():
     assert power_sums_direct(sequence("naturals", 4), 2) == [10, 30]
     assert power_sums_direct(sequence("odd_squares", 2), 1) == [10]
-    assert power_sums_direct(sequence("ones", 5), 3) == [5, 5, 5]
+    assert power_sums_direct(variables("ones", 5), 3) == [5, 5, 5]
 
 
 def test_power_sum_via_lang_examples():
     assert power_sum_via_lang(sequence("naturals", 2), 2) == 5
-    assert power_sum_via_lang(sequence("ones", 3), 4) == 3
-    inv = sequence("inverse_squares", 50)
+    assert power_sum_via_lang(variables("ones", 3), 4) == 3
+    inv = variables("inverse_squares", 50)
     assert power_sum_via_lang(inv, 1) == sum(Fraction(1, i * i) for i in range(1, 51))
 
 
@@ -101,7 +105,7 @@ def test_power_sum_from_sigma_h():
 @pytest.mark.parametrize("tag", ALL_TAGS)
 @pytest.mark.parametrize("n", range(0, 13, 3))
 def test_lang_matches_direct_all_tags(tag, n):
-    seq = sequence(tag, n)
+    seq = variables(tag, n)
     direct = power_sums_direct(seq, 10)
     for k in range(1, 11):
         assert power_sum_via_lang(seq, k) == direct[k - 1]
@@ -148,9 +152,9 @@ def test_orthogonality_is_kronecker_delta(xs, k):
 
 
 def test_pn_poly_base_cases():
-    assert pn_polynomial_coeffs(1) == Poly([1])
-    assert pn_polynomial_coeffs(2) == Poly([2, -3])
-    assert pn_polynomial_coeffs(3).coeff(2) == 11
+    assert pn_polynomial_coeffs(1).coeffs == (1,)
+    assert pn_polynomial_coeffs(2).coeffs == (2, -3)
+    assert pn_polynomial_coeffs(3).coeffs[2] == 11
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -160,7 +164,7 @@ def test_pn_coefficient_law(n):
     sigma = elementary_prefix(sequence("naturals", n), n)
     assert len(poly.coeffs) == n
     for m in range(n):
-        assert poly.coeff(m) == (n - m) * (-1) ** m * sigma[m]
+        assert poly.coeffs[m] == (n - m) * (-1) ** m * sigma[m]
 
 
 def test_unknown_sequence_tag_fails_at_construction():
@@ -168,7 +172,9 @@ def test_unknown_sequence_tag_fails_at_construction():
         sequence("bogus", 3)
 
 
-def test_sequence_terms_are_ints_except_inverse_squares():
-    for tag in ALL_TAGS:
-        kind = Fraction if tag == "inverse_squares" else int
-        assert {type(x) for x in sequence(tag, 4)} == {kind}, tag
+def test_sequence_terms_are_ints():
+    for tag in LIBRARY_TAGS:
+        assert {type(x) for x in sequence(tag, 4)} == {int}, tag
+    for tag in EXTRA_SETS:
+        with pytest.raises(ValueError, match="unknown sequence tag"):
+            sequence(tag, 4)

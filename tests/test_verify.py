@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from powersumkit import powersums, zeta
+from powersumkit import combinatorics, powersums, zeta
 from powersumkit.cli import main
 from powersumkit.exact import ConsistencyError
 from powersumkit.powersums import Method
@@ -102,7 +102,8 @@ def test_concordance_brute_cells_do_not_check_brute_against_itself(monkeypatch):
 def test_a_fault_in_the_zeta_recursion_fails_the_bernoulli_cells_too(monkeypatch):
     """bernoulli_even_recursion reads g_k of the zeta(2k) recursion, so an
     error in g_4 fails `bernoulli even-recursion k=4`, checked against the
-    tangent-number Bernoulli numbers, as well as the zeta cells that read c_4."""
+    defining recurrence of the Bernoulli numbers, as well as the zeta cells
+    that read c_4."""
     scaled, coeff = zeta._zeta_scaled, zeta._zeta_coeff
     monkeypatch.setattr(zeta, "_zeta_scaled",
                         lambda k: scaled(k) + (Fraction(1, 10 ** 6) if k == 4 else 0))
@@ -116,3 +117,27 @@ def test_a_fault_in_the_zeta_recursion_fails_the_bernoulli_cells_too(monkeypatch
         coeff.cache_clear()
     assert failed == {"zeta classical-oracle k=4", "bernoulli even-recursion k=4",
                       *(f"zeta h-consistency k={k}" for k in range(4, 16))}
+
+
+def test_a_fault_in_the_tangent_numbers_fails_zeta_but_not_the_even_recursion(monkeypatch):
+    """The `bernoulli even-recursion` cells take their expected side from the
+    defining recurrence, not from the tangent numbers, so a wrong T_4 (and
+    so a wrong B_8) fails `zeta classical-oracle k=4` and no even-recursion
+    cell."""
+    tangent = combinatorics._tangent_numbers
+
+    def off_by_one(m):
+        t = tangent(m)
+        if m >= 4:
+            t[4] += 1
+        return t
+
+    monkeypatch.setattr(combinatorics, "_tangent_numbers", off_by_one)
+    combinatorics._bernoulli.cache_clear()
+    try:
+        failed = {cell for name in ("zeta", "bernoulli")
+                  for cell, _, _ in run_suite(name).failures}
+    finally:
+        combinatorics._bernoulli.cache_clear()
+    assert "zeta classical-oracle k=4" in failed
+    assert not {cell for cell in failed if cell.startswith("bernoulli even-recursion")}
