@@ -23,10 +23,10 @@ that recursion, read as B_2k, against the defining recurrence
 sum_{j<=k} C(k+1, j) B_j = 0 written in verify.  A Bernoulli polynomial is
 only ever evaluated, so bernoulli_polynomial takes its point.
 
-All functions are pure.  The Stirling rows and the Bernoulli numbers are
-built bottom-up in `tables.recurrence` tables (the Bernoulli numbers a
-block at a time); the sigma/h values are kept in point caches of fixed
-size.
+All functions are pure.  The Stirling rows, the Bernoulli numbers and the
+running lcms of their denominators are built bottom-up in
+`tables.recurrence` tables (the Bernoulli numbers a block at a time); the
+sigma/h values are kept in point caches of fixed size.
 """
 
 from __future__ import annotations
@@ -257,16 +257,28 @@ def bernoulli_number(k: int) -> Fraction:
     return _bernoulli(k)
 
 
+@recurrence
+def _bernoulli_lcm(lcms, k: int) -> int:
+    # D_k = lcm(D_(k-1), den B_k), the lcm of the denominators of B_0..B_k;
+    # read off the _bernoulli table, so clearing that one means clearing this
+    den = _bernoulli(k).denominator
+    return lcm(lcms[k - 1], den) if k else den
+
+
 def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
     """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k.  With D the
     lcm of the denominators of B_0..B_k, the int polynomial D B_k(x) is
     evaluated at x and divided by D."""
     _check_int("k", k, 0)
-    bs = [_bernoulli(i) for i in range(k + 1)]
-    d = lcm(*(b.denominator for b in bs))
-    coeffs, c = [], 1  # c = C(k, m), the binomial of x^m, stepped along row k
-    for m in range(k + 1):
-        b = bs[k - m]
-        coeffs.append(c * b.numerator * (d // b.denominator))
-        c = c * (k - m) // (m + 1)
+    d = _bernoulli_lcm(k)
+    coeffs = [0] * (k + 1)  # coeffs[k - i] = C(k, i) B_i D
+    coeffs[k] = d
+    if k:
+        coeffs[k - 1] = -k * d // 2  # B_1 = -1/2, and D is even for k >= 1
+    # B_i = 0 for odd i > 1, so C(k, i) steps two places along row k
+    c = 1
+    for i in range(2, k + 1, 2):
+        c = c * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
+        b = _bernoulli(i)
+        coeffs[k - i] = c * b.numerator * (d // b.denominator)
     return Poly(coeffs)(x) / d

@@ -16,6 +16,7 @@ from typing import Dict
 
 from .combinatorics import (
     Parity,
+    bernoulli_number,
     bernoulli_polynomial,
     binomial,
     central_factorial_first,
@@ -186,14 +187,14 @@ def triangular_sum_ls(k: int, n: int) -> int:
 
 def triangular_sum_binomial(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with
-    S_{k+j}(n) in its Bernoulli-polynomial form
-    (B_{k+j+1}(n+1) - B_{k+j+1}(1))/(k+j+1)."""
+    S_{k+j}(n) in its Bernoulli-polynomial form (B_m(n+1) - B_m)/m,
+    m = k+j+1 >= 2, where B_m(1) = B_m."""
     _check_query("triangular-binomial", k, n)
     total = Fraction(0)
     for j in range(0, k + 1):
         m = k + j + 1
         total += comb(k, j) \
-            * (bernoulli_polynomial(m, n + 1) - bernoulli_polynomial(m, 1)) / m
+            * (bernoulli_polynomial(m, n + 1) - bernoulli_number(m)) / m
     return _as_int(total / 2 ** k, "triangular binomial sum")
 
 

@@ -11,6 +11,8 @@ sums and h_inverse_squares_check only build its sigma and h;
 newton_girard_power_sums is the one Newton-Girard recurrence, which
 s_newton_recurrence feeds with its own sigma.  Both refuse floats and bools
 and use the entries they are given unchanged, so int entries give ints.
+orthogonality_residuals checks E(-t) H(t) = 1 for every k up to K off one
+sigma prefix and one h prefix, which verify reads once per variable set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "complete_prefix",
     "power_sum_from_sigma_h",
     "newton_girard_power_sums",
-    "orthogonality_residual",
+    "orthogonality_residuals",
     "pn_polynomial_coeffs",
 ]
 
@@ -103,17 +105,23 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
     return p
 
 
-def orthogonality_residual(xs: Iterable[Scalar], k: int) -> Fraction:
-    """sum_{i=0}^{k} (-1)^i sigma_i h_{k-i}; equals 1 at k=0 and 0 otherwise."""
-    _check_int("k", k, 0)
+def orthogonality_residuals(xs: Iterable[Scalar], K: int) -> List[Fraction]:
+    """[r_0, ..., r_K] with r_k = sum_{i=0}^{k} (-1)^i sigma_i h_{k-i}, so
+    r_0 = 1 and every other r_k = 0 (E(-t) H(t) = 1).  One sigma prefix and
+    one h prefix, both cut at K, serve every k: a prefix cut at K starts
+    with the prefix cut at k."""
+    _check_int("K", K, 0)
     vals = tuple(xs)
-    sig = elementary_prefix(vals, k)
-    h = complete_prefix(vals, k)
-    total = Fraction(0)
-    for i in range(k + 1):
-        term = sig[i] * h[k - i]
-        total += term if i % 2 == 0 else -term
-    return total
+    sig = elementary_prefix(vals, K)
+    h = complete_prefix(vals, K)
+    residuals = []
+    for k in range(K + 1):
+        total = Fraction(0)
+        for i in range(k + 1):
+            term = sig[i] * h[k - i]
+            total += term if i % 2 == 0 else -term
+        residuals.append(total)
+    return residuals
 
 
 def pn_polynomial_coeffs(n: int) -> Poly:

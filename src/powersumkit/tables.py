@@ -2,8 +2,9 @@
 
 The caching rule of the package: no function calls itself, and a cache
 is kept only where the traffic hits it.  A sequence whose term j is built
-from the terms before it (the Stirling rows, the Bernoulli numbers, the
-zeta(2k) coefficients) lives in a `recurrence` table, filled bottom-up, so
+from the terms before it (the Stirling rows, the Bernoulli numbers and the
+running lcms of their denominators, the zeta(2k) coefficients) lives in a
+`recurrence` table, filled bottom-up, so
 no input is bounded by the interpreter's recursion limit.  The only other
 caches are the fixed-size point caches on sigma/h values in
 `combinatorics`.

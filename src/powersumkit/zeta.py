@@ -53,12 +53,13 @@ def _zeta_scaled(g, k: int) -> Fraction:
         return Fraction(-1, 2)
     d = lcm(*(x.denominator for x in g))
     total = 0
+    c = 2 * k + 1  # C(2k+1, 2m+1), stepped two places along row 2k+1
     for m in range(1, k + 1):
+        c = c * (2 * k - 2 * m + 2) * (2 * k - 2 * m + 1) // (2 * m * (2 * m + 1))
         x = g[k - m]
-        term = 2 * m * comb(2 * k + 1, 2 * m + 1) * (4 ** (k - m) - 2) \
-            * x.numerator * (d // x.denominator)
+        term = 2 * m * c * ((1 << 2 * (k - m)) - 2) * x.numerator * (d // x.denominator)
         total += term if m % 2 else -term
-    return Fraction(total, d * (2 * k + 1) * 4 ** k)
+    return Fraction(total, (d * (2 * k + 1)) << 2 * k)
 
 
 @recurrence

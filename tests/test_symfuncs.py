@@ -10,7 +10,7 @@ from powersumkit.symfuncs import (
     complete_prefix,
     elementary_prefix,
     newton_girard_power_sums,
-    orthogonality_residual,
+    orthogonality_residuals,
     pn_polynomial_coeffs,
     power_sum_from_sigma_h,
 )
@@ -140,15 +140,15 @@ def test_newton_girard_matches_direct(xs, K):
 
 
 def test_orthogonality_examples():
-    assert orthogonality_residual(sequence("naturals", 5), 0) == 1
-    assert orthogonality_residual(sequence("naturals", 5), 3) == 0
-    assert orthogonality_residual(sequence("doubled_triangulars", 4), 6) == 0
+    assert orthogonality_residuals(sequence("naturals", 5), 0) == [1]
+    assert orthogonality_residuals(sequence("naturals", 5), 3) == [1, 0, 0, 0]
+    assert orthogonality_residuals(sequence("doubled_triangulars", 4), 6) == [1] + [0] * 6
 
 
 @given(small_vars, st.integers(0, 10))
 def test_orthogonality_is_kronecker_delta(xs, k):
-    res = orthogonality_residual(xs, k)
-    assert res == (1 if k == 0 else 0)
+    res = orthogonality_residuals(xs, k)
+    assert res == [1] + [0] * k
 
 
 def test_pn_poly_base_cases():

@@ -1,10 +1,11 @@
 import importlib.util
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from powersumkit import combinatorics, powersums, zeta
+from powersumkit import combinatorics, powersums, symfuncs, zeta
 from powersumkit.cli import main
 from powersumkit.exact import ConsistencyError
 from powersumkit.powersums import Method
@@ -133,11 +134,50 @@ def test_a_fault_in_the_tangent_numbers_fails_zeta_but_not_the_even_recursion(mo
         return t
 
     monkeypatch.setattr(combinatorics, "_tangent_numbers", off_by_one)
-    combinatorics._bernoulli.cache_clear()
+    tables = (combinatorics._bernoulli, combinatorics._bernoulli_lcm)
+    for table in tables:
+        table.cache_clear()
     try:
         failed = {cell for name in ("zeta", "bernoulli")
                   for cell, _, _ in run_suite(name).failures}
     finally:
-        combinatorics._bernoulli.cache_clear()
+        for table in tables:
+            table.cache_clear()
     assert "zeta classical-oracle k=4" in failed
     assert not {cell for cell in failed if cell.startswith("bernoulli even-recursion")}
+
+
+ORTHO_TAGS = ("naturals", "squares", "odd_squares", "doubled_triangulars")
+
+
+def test_orthogonality_builds_one_prefix_pair_per_variable_set(monkeypatch):
+    """The sweep reads every k off one sigma prefix and one h prefix per
+    (tag, n): 4 tags and n = 0..12 make 52 of each, not one pair per cell
+    (832)."""
+    calls = Counter()
+    for name in ("elementary_prefix", "complete_prefix"):
+        def counted(xs, M, dp=getattr(symfuncs, name), name=name):
+            calls[name] += 1
+            return dp(xs, M)
+        monkeypatch.setattr(symfuncs, name, counted)
+    report = run_suite("orthogonality")
+    assert report.ok and report.cells == 832
+    assert calls == {"elementary_prefix": 52, "complete_prefix": 52}
+
+
+def test_a_wrong_h3_fails_every_orthogonality_cell_that_reads_it(monkeypatch):
+    """With h_3 one too large, r_k moves by (-1)^(k-3) sigma_(k-3), which is
+    nonzero exactly for 3 <= k <= n+3: so every tag and n fails from k = 3 up
+    to the grid's k = 15 or to n+3, and the shared prefix still checks each k."""
+    complete = symfuncs.complete_prefix
+
+    def off_by_one(xs, M):
+        h = complete(xs, M)
+        if M >= 3:
+            h[3] += 1
+        return h
+
+    monkeypatch.setattr(symfuncs, "complete_prefix", off_by_one)
+    failed = {cell for cell, _, _ in run_suite("orthogonality").failures}
+    assert failed == {f"orthogonality {tag} n={n} k={k}" for tag in ORTHO_TAGS
+                      for n in range(13) for k in range(3, min(n + 3, 15) + 1)}
