@@ -23,10 +23,11 @@ that recursion, read as B_2k, against the defining recurrence
 sum_{j<=k} C(k+1, j) B_j = 0 written in verify.  A Bernoulli polynomial is
 only ever evaluated, so bernoulli_polynomial takes its point.
 
-All functions are pure.  The Stirling rows, the Bernoulli numbers and the
-running lcms of their denominators are built bottom-up in
-`tables.recurrence` tables (the Bernoulli numbers a block at a time); the
-sigma/h values are kept in point caches of fixed size.
+All functions are pure.  Three `tables.recurrence` tables are built
+bottom-up here: the two Stirling row tables, and _bernoulli, whose term k
+is (B_k, D_k) with D_k the lcm of the denominators of B_0..B_k, built a
+block at a time; each step reads only its own table.  The sigma/h values
+are kept in point caches of fixed size.
 """
 
 from __future__ import annotations
@@ -228,23 +229,26 @@ def _tangent_numbers(m: int) -> List[int]:
 
 
 @partial(recurrence, blocks=True)
-def _bernoulli(terms, j: int) -> List[Fraction]:
-    # B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1, and from the tangent numbers
-    # B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  A tangent pass is not
-    # incremental, so each block at least doubles the table and keeps only
-    # the Bernoulli numbers.
+def _bernoulli(terms, j: int) -> List[Tuple[Fraction, int]]:
+    # (B_k, D_k) with D_k = lcm(D_(k-1), den B_k), the lcm of the
+    # denominators of B_0..B_k.  B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1,
+    # and from the tangent numbers B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
+    # A tangent pass is not incremental, so each block at least doubles the
+    # table and keeps only the Bernoulli numbers and their lcms.
     start, stop = len(terms), max(j, 2 * len(terms)) + 1
     tangent = _tangent_numbers((stop - 1) // 2)
+    d = terms[-1][1] if terms else 1
     block = []
     for k in range(start, stop):
         if k < 2:
-            block.append(Fraction(1) if k == 0 else Fraction(-1, 2))
+            b = Fraction(1) if k == 0 else Fraction(-1, 2)
         elif k % 2:
-            block.append(Fraction(0))
+            b = Fraction(0)
         else:
             m, four_m = k // 2, 4 ** (k // 2)
-            value = Fraction(k * tangent[m], four_m * (four_m - 1))
-            block.append(value if m % 2 else -value)
+            b = Fraction((k if m % 2 else -k) * tangent[m], four_m * (four_m - 1))
+        d = lcm(d, b.denominator)
+        block.append((b, d))
     return block
 
 
@@ -254,15 +258,7 @@ def bernoulli_number(k: int) -> Fraction:
     check it against the zeta(2k) recursion."""
     if type(k) is not int or k < 0:
         _check_int("k", k, 0)
-    return _bernoulli(k)
-
-
-@recurrence
-def _bernoulli_lcm(lcms, k: int) -> int:
-    # D_k = lcm(D_(k-1), den B_k), the lcm of the denominators of B_0..B_k;
-    # read off the _bernoulli table, so clearing that one means clearing this
-    den = _bernoulli(k).denominator
-    return lcm(lcms[k - 1], den) if k else den
+    return _bernoulli(k)[0]
 
 
 def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
@@ -270,7 +266,7 @@ def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
     lcm of the denominators of B_0..B_k, the int polynomial D B_k(x) is
     evaluated at x and divided by D."""
     _check_int("k", k, 0)
-    d = _bernoulli_lcm(k)
+    d = _bernoulli(k)[1]
     coeffs = [0] * (k + 1)  # coeffs[k - i] = C(k, i) B_i D
     coeffs[k] = d
     if k:
@@ -279,6 +275,6 @@ def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
     c = 1
     for i in range(2, k + 1, 2):
         c = c * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
-        b = _bernoulli(i)
+        b = _bernoulli(i)[0]
         coeffs[k - i] = c * b.numerator * (d // b.denominator)
     return Poly(coeffs)(x) / d

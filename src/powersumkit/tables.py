@@ -2,12 +2,14 @@
 
 The caching rule of the package: no function calls itself, and a cache
 is kept only where the traffic hits it.  A sequence whose term j is built
-from the terms before it (the Stirling rows, the Bernoulli numbers and the
-running lcms of their denominators, the zeta(2k) coefficients) lives in a
-`recurrence` table, filled bottom-up, so
-no input is bounded by the interpreter's recursion limit.  The only other
-caches are the fixed-size point caches on sigma/h values in
-`combinatorics`.
+from the terms before it lives in a `recurrence` table, filled bottom-up,
+so no input is bounded by the interpreter's recursion limit.  There are
+four: the two Stirling row tables and the Bernoulli numbers in
+`combinatorics`, and the zeta(2k) recursion in `zeta`.  A step reads only
+its own terms, so what is derived from a term (a running lcm, a rescaled
+coefficient) is carried in that term, never in a second table that could
+go stale when the first is cleared.  The only other caches are the
+fixed-size point caches on sigma/h values in `combinatorics`.
 """
 
 import threading

@@ -3,11 +3,14 @@ plus the Bernoulli-number identities that fall out of the same machinery.
 
 zeta(2k) values always come from the recursion in zeta_even_exact, run
 on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
-keep small denominators; it reads no Bernoulli number, so
-zeta_even_classical, the Bernoulli closed form over the tangent-number
-Bernoulli numbers, is an independent check of it; bernoulli_even_recursion
-reads the same g as B_2k = (-1)^(k+1) 2 g_k, by Euler's formula, and verify
-checks it against the defining recurrence of the Bernoulli numbers.
+keep small denominators.  It is one `tables.recurrence` table, _zeta, whose
+term k is (g_k, d_k, c_k) with d_k the running lcm of the denominators of
+g_0..g_k; its step reads only its own earlier terms and no Bernoulli
+number, so zeta_even_classical, the Bernoulli closed form over the
+tangent-number Bernoulli numbers, is an independent check of it.
+bernoulli_even_recursion reads the same g as B_2k = (-1)^(k+1) 2 g_k, by
+Euler's formula, and verify checks it against the defining recurrence of
+the Bernoulli numbers.
 h_inverse_squares_check, a verification op only, reads its sigma from
 sigma_inverse_squares.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import Tuple
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial
 from .exact import PiPower, _check_int
@@ -41,33 +45,28 @@ def sigma_inverse_squares(k: int) -> PiPower:
 
 
 @recurrence
-def _zeta_scaled(g, k: int) -> Fraction:
+def _zeta(terms, k: int) -> Tuple[Fraction, int, Fraction]:
+    # (g_k, d_k, c_k): c_k the coefficient of pi^(2k) in
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
     #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,
-    # read off as the coefficient c_k of pi^(2k) and multiplied through by
-    # (2k+1)!: with g_k = c_k (2k)!/4^k,
+    # multiplied through by (2k+1)!: with g_k = c_k (2k)!/4^k,
     #   (2k+1) 4^k g_k = sum_m (-1)^(m-1) 2m C(2k+1, 2m+1) (4^(k-m) - 2) g_{k-m},
     # g_0 = -1/2.  The g keep small denominators where the c_k grow like
-    # (2k+1)!, so the sum runs on ints over the lcm d of those denominators.
+    # (2k+1)!, so the sum runs on ints over d_(k-1), the running lcm of the
+    # denominators of g_0..g_(k-1).
     if k == 0:
-        return Fraction(-1, 2)
-    d = lcm(*(x.denominator for x in g))
+        return Fraction(-1, 2), 2, Fraction(-1, 2)
+    d = terms[k - 1][1]
     total = 0
     c = 2 * k + 1  # C(2k+1, 2m+1), stepped two places along row 2k+1
     for m in range(1, k + 1):
         c = c * (2 * k - 2 * m + 2) * (2 * k - 2 * m + 1) // (2 * m * (2 * m + 1))
-        x = g[k - m]
+        x = terms[k - m][0]
         term = 2 * m * c * ((1 << 2 * (k - m)) - 2) * x.numerator * (d // x.denominator)
         total += term if m % 2 else -term
-    return Fraction(total, (d * (2 * k + 1)) << 2 * k)
-
-
-@recurrence
-def _zeta_coeff(coeffs, k: int) -> Fraction:
-    # c_k = g_k 4^k/(2k)!, kept in its own table so that a warm zeta(2k) is
-    # one table read
-    g = _zeta_scaled(k)
-    return Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
+    g = Fraction(total, (d * (2 * k + 1)) << 2 * k)
+    c_k = Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
+    return g, lcm(d, g.denominator), c_k
 
 
 def zeta_even_exact(k: int) -> PiPower:
@@ -75,7 +74,7 @@ def zeta_even_exact(k: int) -> PiPower:
     built from the inverse-squares symmetric functions, filled bottom-up."""
     if type(k) is not int or k < 1:
         _check_int("k", k, 1)
-    return PiPower(_zeta_coeff(k), k)
+    return PiPower(_zeta(k)[2], k)
 
 
 def zeta_even_classical(k: int) -> PiPower:
@@ -96,8 +95,8 @@ def h_inverse_squares_check(k: int) -> Fraction:
     _check_int("k", k, 1)
     sigma = [sigma_inverse_squares(m).coeff for m in range(1, k + 1)]
     # coefficient of pi^(2j) in h_j; zeta(0) = -1/2 gives h_0 = 1
-    h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _zeta_coeff(j) for j in range(k)]
-    return _zeta_coeff(k) - power_sum_from_sigma_h(sigma, h)
+    h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _zeta(j)[2] for j in range(k)]
+    return _zeta(k)[2] - power_sum_from_sigma_h(sigma, h)
 
 
 def bernoulli_binomial_identity(k: int) -> Fraction:
@@ -126,4 +125,4 @@ def bernoulli_even_recursion(k: int) -> Fraction:
     g_j = (-1)^(j+1) B_{2j}/2 reads B_{2k} = (2/(2k+1)) sum_{j=1}^{k}
     j C(2k+1, 2j+1) (1/2^(2k-1) - 1/2^(2j)) B_{2k-2j},  B_0 = 1."""
     _check_int("k", k, 1)
-    return (2 if k % 2 else -2) * _zeta_scaled(k)
+    return (2 if k % 2 else -2) * _zeta(k)[0]

@@ -1,5 +1,7 @@
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial
+from itertools import accumulate
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -179,6 +181,41 @@ class TestLegendreStirling:
             assert legendre_stirling_second(n, 0) == 0
 
 
+# The sigma/h-defined families against their own triangle recurrences,
+# T(n, k) = T(n-1, k-1) + w(n, k) T(n-1, k).  The recurrences live here
+# only, so the verify cells stay cross-checks of the sigma/h route, and
+# this net guards a rewrite of that route.
+SIGMA_H_TRIANGLES = {
+    **{f"r_stirling_first r={r}": (partial(r_stirling_first, r=r), r, lambda n, k: n - 1)
+       for r in (1, 2, 3)},
+    **{f"r_stirling_second r={r}": (partial(r_stirling_second, r=r), r, lambda n, k: k)
+       for r in (1, 2, 3)},
+    "central_factorial_first even": (partial(central_factorial_first, parity=Parity.EVEN), 0,
+                                     lambda n, k: -(n - 1) ** 2),
+    "central_factorial_second even": (partial(central_factorial_second, parity=Parity.EVEN), 0,
+                                      lambda n, k: k * k),
+    "central_factorial_first odd": (partial(central_factorial_first, parity=Parity.ODD), 0,
+                                    lambda n, k: -(2 * n - 1) ** 2),
+    "central_factorial_second odd": (partial(central_factorial_second, parity=Parity.ODD), 0,
+                                     lambda n, k: (2 * k + 1) ** 2),
+    "legendre_stirling_first": (legendre_stirling_first, 0, lambda n, k: -n * (n - 1)),
+    "legendre_stirling_second": (legendre_stirling_second, 0, lambda n, k: k * (k + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_H_TRIANGLES))
+def test_sigma_h_families_follow_their_triangle_recurrences(name):
+    """Rows first..24, with row `first` (r for the r-Stirling numbers, else
+    0) equal to delta(k, first)."""
+    cell, first, weight = SIGMA_H_TRIANGLES[name]
+    row = [int(k == first) for k in range(first + 1)]
+    for n in range(first, 25):
+        if n > first:
+            prev = row + [0]
+            row = [(prev[k - 1] if k else 0) + weight(n, k) * prev[k] for k in range(n + 1)]
+        assert [cell(n, k) for k in range(n + 1)] == row, f"row {n}"
+
+
 class TestBernoulli:
     def test_small_values(self):
         assert bernoulli_number(0) == 1
@@ -222,13 +259,16 @@ ORACLE_B = _bernoulli_by_recurrence(300)
 class TestBernoulliAgainstRecurrence:
     @pytest.mark.parametrize("order", ["one-shot", "ascending", "scattered"])
     def test_numbers_match_the_recurrence(self, order):
-        """However the block table grows, B_0..B_300 equal the recurrence."""
+        """However the block table grows, B_0..B_300 equal the recurrence and
+        each term carries the lcm of the denominators up to it."""
         combinatorics._bernoulli.cache_clear()
         ks = {"one-shot": [300], "ascending": range(301),
               "scattered": [5, 4, 17, 18, 100, 33, 201, 300]}[order]
         for k in ks:
             bernoulli_number(k)
         assert [bernoulli_number(k) for k in range(301)] == ORACLE_B
+        assert [combinatorics._bernoulli(k)[1] for k in range(301)] == \
+            list(accumulate((b.denominator for b in ORACLE_B), lcm))
         assert all(type(b) is Fraction for b in map(bernoulli_number, range(301)))
 
     @pytest.mark.parametrize("k", range(0, 61))

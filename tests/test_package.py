@@ -1,7 +1,7 @@
 """Rules over the package as a whole: its public surface, the one rule for
 int arguments, and the source conventions README states (no assert, no
-unbounded lru_cache, no function that calls itself, no TypeError raised
-outside exact)."""
+unbounded lru_cache, no function that calls itself, no recurrence table
+whose step reads another table, no TypeError raised outside exact)."""
 
 import ast
 import inspect
@@ -135,10 +135,22 @@ def _unbounded_cache(node: ast.expr) -> bool:
     return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
 
 
+def _is_table(node: ast.AST) -> bool:
+    """A function decorated with `recurrence` or `partial(recurrence, ...)`."""
+    return isinstance(node, ast.FunctionDef) and any(
+        _called_name(d) == "recurrence"
+        or isinstance(d, ast.Call) and _called_name(d.func) == "partial"
+        and bool(d.args) and _called_name(d.args[0]) == "recurrence"
+        for d in node.decorator_list)
+
+
 def test_source_follows_the_conventions():
     found = []
-    for path in sorted(Path(powersumkit.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(powersumkit.__file__).parent.glob("*.py"))}
+    tables = {node.name for tree in trees.values() for node in ast.walk(tree) if _is_table(node)}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Assert):
                 found.append(f"{where} assert")
@@ -148,6 +160,12 @@ def test_source_follows_the_conventions():
                 if any(isinstance(call, ast.Call) and _called_name(call.func) == node.name
                        for call in ast.walk(node)):
                     found.append(f"{where} {node.name} calls itself")
+                # a table's step reads only its own terms: what it derives
+                # from another table goes into that table's term instead
+                others = tables - {node.name} & {_called_name(n) for n in ast.walk(node)
+                                                 if isinstance(n, (ast.Name, ast.Attribute))}
+                if _is_table(node) and others:
+                    found.append(f"{where} table {node.name} reads {sorted(others)}")
             elif isinstance(node, ast.Raise) and path.name != "exact.py" and node.exc \
                     and _called_name(getattr(node.exc, "func", node.exc)) == "TypeError":
                 found.append(f"{where} raise TypeError outside exact.py")

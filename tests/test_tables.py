@@ -1,7 +1,7 @@
 import inspect
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from powersumkit import combinatorics, zeta
 from powersumkit.combinatorics import bernoulli_number, stirling_first_unsigned, stirling_second
@@ -29,7 +29,7 @@ def test_deep_calls_need_no_recursion():
     """Cold tables answer deep queries under a recursion limit only a few
     dozen frames above the caller's."""
     for cached in (combinatorics._stirling1_row, combinatorics._stirling2_row,
-                   combinatorics._bernoulli, zeta._zeta_scaled, zeta._zeta_coeff):
+                   combinatorics._bernoulli, zeta._zeta):
         cached.cache_clear()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
@@ -54,3 +54,21 @@ def test_deep_calls_need_no_recursion():
     primes = [p for p in range(2, 1002)
               if 1000 % (p - 1) == 0 and all(p % q for q in range(2, p))]
     assert (b1000 + sum(Fraction(1, p) for p in primes)).denominator == 1 and b1000 < 0
+
+
+def test_zeta_table_keeps_one_running_lcm(monkeypatch):
+    """Each new zeta(2k) term reads d_(k-1) off its predecessor, so lcm sees
+    at most two arguments per term, not every earlier denominator."""
+    args = []
+
+    def counting_lcm(*xs):
+        args.extend(xs)
+        return lcm(*xs)
+
+    monkeypatch.setattr(zeta, "lcm", counting_lcm)
+    zeta._zeta.cache_clear()
+    try:
+        zeta._zeta(60)
+    finally:
+        zeta._zeta.cache_clear()
+    assert 0 < len(args) <= 2 * 61
