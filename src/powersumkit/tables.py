@@ -8,8 +8,12 @@ four: the two Stirling row tables and the Bernoulli numbers in
 `combinatorics`, and the zeta(2k) recursion in `zeta`.  A step reads only
 its own terms, so what is derived from a term (a running lcm, a rescaled
 coefficient) is carried in that term, never in a second table that could
-go stale when the first is cleared.  The only other caches are the
-fixed-size point caches on sigma/h values in `combinatorics`.
+go stale when the first is cleared.  Two are built a block at a time, for
+different reasons: a tangent-number pass is not incremental, so the
+Bernoulli table at least doubles; the zeta(2k) step keeps the numerators
+of its earlier terms over one running lcm, which pays off across a block,
+so it fills every term through the one asked for.  The only other caches
+are the fixed-size point caches on sigma/h values in `combinatorics`.
 """
 
 import threading

@@ -5,9 +5,12 @@ zeta(2k) values always come from the recursion in zeta_even_exact, run
 on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators.  It is one `tables.recurrence` table, _zeta, whose
 term k is (g_k, d_k, c_k) with d_k the running lcm of the denominators of
-g_0..g_k; its step reads only its own earlier terms and no Bernoulli
-number, so zeta_even_classical, the Bernoulli closed form over the
-tangent-number Bernoulli numbers, is an independent check of it.
+g_0..g_k.  It is built a block at a time, from the table's end through the
+k asked for: across a block the numerators of the earlier g live over one
+running lcm, so each new g is one int dot product and one division.  Its
+step reads only its own earlier terms and no Bernoulli number, so
+zeta_even_classical, the Bernoulli closed form over the tangent-number
+Bernoulli numbers, is an independent check of it.
 bernoulli_even_recursion reads the same g as B_2k = (-1)^(k+1) 2 g_k, by
 Euler's formula, and verify checks it against the defining recurrence of
 the Bernoulli numbers.
@@ -18,8 +21,10 @@ sigma_inverse_squares.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm
-from typing import Tuple
+from operator import mul
+from typing import List, Tuple
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial
 from .exact import PiPower, _check_int
@@ -44,29 +49,42 @@ def sigma_inverse_squares(k: int) -> PiPower:
     return PiPower(Fraction(1, factorial(2 * k + 1)), k)
 
 
-@recurrence
-def _zeta(terms, k: int) -> Tuple[Fraction, int, Fraction]:
-    # (g_k, d_k, c_k): c_k the coefficient of pi^(2k) in
+@partial(recurrence, blocks=True)
+def _zeta(terms, j: int) -> List[Tuple[Fraction, int, Fraction]]:
+    # (g_k, d_k, c_k) for k = len(terms)..j: c_k the coefficient of pi^(2k) in
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
     #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,
     # multiplied through by (2k+1)!: with g_k = c_k (2k)!/4^k,
     #   (2k+1) 4^k g_k = sum_m (-1)^(m-1) 2m C(2k+1, 2m+1) (4^(k-m) - 2) g_{k-m},
     # g_0 = -1/2.  The g keep small denominators where the c_k grow like
-    # (2k+1)!, so the sum runs on ints over d_(k-1), the running lcm of the
-    # denominators of g_0..g_(k-1).
-    if k == 0:
-        return Fraction(-1, 2), 2, Fraction(-1, 2)
-    d = terms[k - 1][1]
-    total = 0
-    c = 2 * k + 1  # C(2k+1, 2m+1), stepped two places along row 2k+1
-    for m in range(1, k + 1):
-        c = c * (2 * k - 2 * m + 2) * (2 * k - 2 * m + 1) // (2 * m * (2 * m + 1))
-        x = terms[k - m][0]
-        term = 2 * m * c * ((1 << 2 * (k - m)) - 2) * x.numerator * (d // x.denominator)
-        total += term if m % 2 else -term
-    g = Fraction(total, (d * (2 * k + 1)) << 2 * k)
-    c_k = Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
-    return g, lcm(d, g.denominator), c_k
+    # (2k+1)!, and d_k is the running lcm of the denominators of g_0..g_k.
+    # A block keeps u_i = (4^i - 2) g_i d, ints over the one running lcm d,
+    # so each step is one int dot product; when a new denominator grows d,
+    # every u_i is multiplied by the small factor by which d grew.  The u are
+    # rebuilt from the terms at each block start, so no second table is kept.
+    d = terms[-1][1] if terms else 2
+    u = [((1 << 2 * i) - 2) * g.numerator * (d // g.denominator)
+         for i, (g, _, _) in enumerate(terms)]
+    block = []
+    for k in range(len(terms), j + 1):
+        if k == 0:
+            g = Fraction(-1, 2)
+        else:
+            e = []  # e_m = (-1)^(m-1) 2m C(2k+1, 2m+1), stepped along row 2k+1
+            c = 2 * k + 1
+            for m in range(1, k + 1):
+                c = c * (2 * k - 2 * m + 2) * (2 * k - 2 * m + 1) // (2 * m * (2 * m + 1))
+                e.append(2 * m * c if m % 2 else -2 * m * c)
+            total = sum(map(mul, e, u[k - 1::-1]))
+            g = Fraction(total, (d * (2 * k + 1)) << 2 * k)
+            if d % g.denominator:
+                grow = lcm(d, g.denominator) // d
+                u = [x * grow for x in u]
+                d *= grow
+        u.append(((1 << 2 * k) - 2) * g.numerator * (d // g.denominator))
+        c_k = Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
+        block.append((g, d, c_k))
+    return block
 
 
 def zeta_even_exact(k: int) -> PiPower:

@@ -57,8 +57,10 @@ def test_deep_calls_need_no_recursion():
 
 
 def test_zeta_table_keeps_one_running_lcm(monkeypatch):
-    """Each new zeta(2k) term reads d_(k-1) off its predecessor, so lcm sees
-    at most two arguments per term, not every earlier denominator."""
+    """A block keeps the earlier g numerators over one running lcm, read
+    off the last term, and calls lcm only when a new g denominator does not
+    divide it, on two arguments, so lcm sees at most two arguments per term,
+    not every earlier denominator."""
     args = []
 
     def counting_lcm(*xs):

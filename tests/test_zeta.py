@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
 
 import pytest
 
+from powersumkit import zeta
 from powersumkit.combinatorics import bernoulli_number
 from powersumkit.zeta import (
     bernoulli_binomial_identity,
@@ -107,3 +109,44 @@ def test_domain_errors():
         sigma_inverse_squares(-1)
     with pytest.raises(ValueError):
         bernoulli_even_recursion(0)
+
+
+def _zeta_by_recurrence(k_max):
+    """c_0..c_k_max, c_k the coefficient of pi^(2k) in zeta(2k), from
+    zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
+    (1 - 2^(2(m-k)+1)) zeta(2k-2m), zeta(0) = -1/2, on Fractions."""
+    c = [Fraction(-1, 2)]
+    for k in range(1, k_max + 1):
+        c.append(sum((-1) ** (m - 1) * Fraction(2 * m, factorial(2 * m + 1))
+                     * (1 - Fraction(2) ** (2 * (m - k) + 1)) * c[k - m]
+                     for m in range(1, k + 1)))
+    return c
+
+
+ORACLE_C = _zeta_by_recurrence(120)
+
+
+class TestZetaAgainstRecurrence:
+    @pytest.mark.parametrize("order", ["one-shot", "ascending", "scattered"])
+    def test_table_matches_the_recurrence(self, order):
+        """However the block table grows, c_0..c_120 equal the recurrence,
+        g_k = c_k (2k)!/4^k, and d_k is the running lcm of the g
+        denominators.  Ascending fills one term per block, so it checks the
+        block start; one-shot grows d inside one block, so it checks the
+        rescale; scattered does both."""
+        zeta._zeta.cache_clear()
+        ks = {"one-shot": [120], "ascending": range(121),
+              "scattered": [5, 4, 17, 18, 60, 33, 120]}[order]
+        for k in ks:
+            zeta._zeta(k)
+        oracle_g = [c * factorial(2 * k) / 4 ** k for k, c in enumerate(ORACLE_C)]
+        oracle_d = list(accumulate((g.denominator for g in oracle_g), lcm))
+        for k in range(121):
+            g, d, c = zeta._zeta(k)
+            assert type(g) is Fraction and type(c) is Fraction
+            assert (g, d, c) == (oracle_g[k], oracle_d[k], ORACLE_C[k]), k
+
+
+def test_deep_zeta_matches_the_classical_oracle():
+    """k = 700, far past the verify grid and the k <= 300 of test_tables."""
+    assert zeta_even_exact(700) == zeta_even_classical(700)
