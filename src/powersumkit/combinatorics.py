@@ -24,17 +24,18 @@ sum_{j<=k} C(k+1, j) B_j = 0 written in verify.  A Bernoulli polynomial is
 only ever evaluated, so bernoulli_polynomial takes its point.
 
 All functions are pure.  Three `tables.recurrence` tables are built
-bottom-up here: the two Stirling row tables, and _bernoulli, whose term k
-is (B_k, D_k) with D_k the lcm of the denominators of B_0..B_k, built a
-block at a time; each step reads only its own table.  The sigma/h values
-are kept in point caches of fixed size.
+bottom-up here: the two Stirling row tables, a row per step, and
+_bernoulli, whose term k is (B_k, D_k) with D_k the lcm of the
+denominators of B_0..B_k, at least doubling per step; each step reads
+only its own table.  The sigma/h values are kept in point caches of
+fixed size.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, lcm
 from typing import List, Optional, Tuple
 
@@ -86,15 +87,17 @@ def binomial(n: int, k: int) -> int:
 # -- classical Stirling triangles (own recurrences) -------------------------
 
 @recurrence
-def _stirling1_row(rows, n: int) -> Tuple[int, ...]:
-    # c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k)
+def _stirling1_row(rows, j: int) -> List[Tuple[int, ...]]:
+    # c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k).  One row, n = len(rows), per
+    # step: row n reads only row n-1, so a longer block would save nothing
+    n = len(rows)
     if n == 0:
-        return (1,)
+        return [(1,)]
     prev = rows[n - 1]
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = prev[k - 1] + (0 if k == n else (n - 1) * prev[k])
-    return tuple(row)
+    return [tuple(row)]
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -105,15 +108,17 @@ def stirling_first_unsigned(n: int, k: int) -> int:
 
 
 @recurrence
-def _stirling2_row(rows, n: int) -> Tuple[int, ...]:
-    # S(n, k) = k * S(n-1, k) + S(n-1, k-1)
+def _stirling2_row(rows, j: int) -> List[Tuple[int, ...]]:
+    # S(n, k) = k * S(n-1, k) + S(n-1, k-1).  One row, n = len(rows), per
+    # step: row n reads only row n-1, so a longer block would save nothing
+    n = len(rows)
     if n == 0:
-        return (1,)
+        return [(1,)]
     prev = rows[n - 1]
     row = [0] * (n + 1)
     for k in range(1, n + 1):
         row[k] = prev[k - 1] + (0 if k == n else k * prev[k])
-    return tuple(row)
+    return [tuple(row)]
 
 
 def stirling_second(n: int, k: int) -> int:
@@ -228,7 +233,7 @@ def _tangent_numbers(m: int) -> List[int]:
     return t
 
 
-@partial(recurrence, blocks=True)
+@recurrence
 def _bernoulli(terms, j: int) -> List[Tuple[Fraction, int]]:
     # (B_k, D_k) with D_k = lcm(D_(k-1), den B_k), the lcm of the
     # denominators of B_0..B_k.  B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1,

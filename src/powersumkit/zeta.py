@@ -5,8 +5,8 @@ zeta(2k) values always come from the recursion in zeta_even_exact, run
 on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators.  It is one `tables.recurrence` table, _zeta, whose
 term k is (g_k, d_k, c_k) with d_k the running lcm of the denominators of
-g_0..g_k.  It is built a block at a time, from the table's end through the
-k asked for: across a block the numerators of the earlier g live over one
+g_0..g_k.  Each step fills the table from its end through the k asked
+for: across that block the numerators of the earlier g live over one
 running lcm, so each new g is one int dot product and one division.  Its
 step reads only its own earlier terms and no Bernoulli number, so
 zeta_even_classical, the Bernoulli closed form over the tangent-number
@@ -21,7 +21,6 @@ sigma_inverse_squares.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, lcm
 from operator import mul
 from typing import List, Tuple
@@ -49,7 +48,7 @@ def sigma_inverse_squares(k: int) -> PiPower:
     return PiPower(Fraction(1, factorial(2 * k + 1)), k)
 
 
-@partial(recurrence, blocks=True)
+@recurrence
 def _zeta(terms, j: int) -> List[Tuple[Fraction, int, Fraction]]:
     # (g_k, d_k, c_k) for k = len(terms)..j: c_k the coefficient of pi^(2k) in
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)

@@ -1,5 +1,7 @@
 import inspect
 import sys
+import threading
+import time
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -11,18 +13,55 @@ from powersumkit.zeta import bernoulli_even_recursion, zeta_even_classical, zeta
 
 
 def test_recurrence_builds_terms_bottom_up():
-    calls = []
+    built = []
 
     @recurrence
     def squares(terms, j):
-        calls.append(j)
-        return 0 if j == 0 else terms[j - 1] + 2 * j - 1
+        n = len(terms)
+        built.append(n)
+        return [0 if n == 0 else terms[n - 1] + 2 * n - 1]
 
     assert squares(5) == 25 and squares(3) == 9
-    assert calls == [0, 1, 2, 3, 4, 5]
+    assert built == [0, 1, 2, 3, 4, 5]
     assert squares.cache_info().currsize == 6
     squares.cache_clear()
     assert squares.cache_info().currsize == 0 and squares(2) == 4
+
+
+def test_recurrence_runs_one_step_at_a_time():
+    """Four threads that ask a cold table for the same term together get
+    one build of each term: the table's lock lets one step run at a time."""
+    guard = threading.Lock()
+    running, most_running, built = [0], [0], []
+
+    @recurrence
+    def squares(terms, j):
+        n = len(terms)
+        with guard:
+            running[0] += 1
+            most_running[0] = max(most_running[0], running[0])
+        time.sleep(0.02)
+        with guard:
+            running[0] -= 1
+            built.append(n)
+        return [n * n]
+
+    start = threading.Barrier(4, timeout=10)
+    got = []
+
+    def ask():
+        start.wait()
+        got.append(squares(5))
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert most_running == [1]
+    assert built == [0, 1, 2, 3, 4, 5]
+    assert got == [25] * 4 and [squares(n) for n in range(6)] == [0, 1, 4, 9, 16, 25]
 
 
 def test_deep_calls_need_no_recursion():
