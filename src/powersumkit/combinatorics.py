@@ -12,8 +12,9 @@ its value, "even" or "odd".
 
 The r-Stirling, central factorial, and Legendre-Stirling families are
 defined through their symmetric-function characterizations, delegating to
-symfuncs; the classical Stirling triangles use their own recurrences so
-the sigma/h identities are real cross-checks.
+symfuncs; both classical Stirling triangles come from one row step of
+their own, T(n, k) = T(n-1, k-1) + w T(n-1, k) with weight w = n-1 (first
+kind) or k (second), so the sigma/h identities are real cross-checks.
 
 The Bernoulli numbers come from the tangent numbers (Brent and Harvey),
 all in ints.  The `zeta classical-oracle` cells check them, through the
@@ -24,11 +25,11 @@ sum_{j<=k} C(k+1, j) B_j = 0 written in verify.  A Bernoulli polynomial is
 only ever evaluated, so bernoulli_polynomial takes its point.
 
 All functions are pure.  Three `tables.recurrence` tables are built
-bottom-up here: the two Stirling row tables, a row per step, and
-_bernoulli, whose term k is (B_k, D_k) with D_k the lcm of the
-denominators of B_0..B_k, at least doubling per step; each step reads
-only its own table.  The sigma/h values are kept in point caches of
-fixed size.
+bottom-up here: the two Stirling row tables, whose steps both call one
+row step, _triangle_row, and _bernoulli, whose term k is (B_k, D_k) with
+D_k the lcm of the denominators of B_0..B_k, at least doubling per step;
+each step reads only its own table.  The sigma/h values are kept in point
+caches of fixed size.
 """
 
 from __future__ import annotations
@@ -84,20 +85,25 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-# -- classical Stirling triangles (own recurrences) -------------------------
+# -- classical Stirling triangles (one row step, weight n-1 or k) -----------
 
-@recurrence
-def _stirling1_row(rows, j: int) -> List[Tuple[int, ...]]:
-    # c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k).  One row, n = len(rows), per
-    # step: row n reads only row n-1, so a longer block would save nothing
+def _triangle_row(rows, weight) -> List[Tuple[int, ...]]:
+    # T(n, k) = T(n-1, k-1) + weight(n, k) * T(n-1, k), T(0, 0) = 1.  One
+    # row, n = len(rows), per step: row n reads only row n-1, so a longer
+    # block would save nothing
     n = len(rows)
     if n == 0:
         return [(1,)]
-    prev = rows[n - 1]
+    prev = rows[n - 1] + (0,)  # T(n-1, n) = 0
     row = [0] * (n + 1)
     for k in range(1, n + 1):
-        row[k] = prev[k - 1] + (0 if k == n else (n - 1) * prev[k])
+        row[k] = prev[k - 1] + weight(n, k) * prev[k]
     return [tuple(row)]
+
+
+@recurrence
+def _stirling1_row(rows, j: int) -> List[Tuple[int, ...]]:
+    return _triangle_row(rows, lambda n, k: n - 1)
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -109,16 +115,7 @@ def stirling_first_unsigned(n: int, k: int) -> int:
 
 @recurrence
 def _stirling2_row(rows, j: int) -> List[Tuple[int, ...]]:
-    # S(n, k) = k * S(n-1, k) + S(n-1, k-1).  One row, n = len(rows), per
-    # step: row n reads only row n-1, so a longer block would save nothing
-    n = len(rows)
-    if n == 0:
-        return [(1,)]
-    prev = rows[n - 1]
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = prev[k - 1] + (0 if k == n else k * prev[k])
-    return [tuple(row)]
+    return _triangle_row(rows, lambda n, k: k)
 
 
 def stirling_second(n: int, k: int) -> int:

@@ -243,7 +243,7 @@ def compute(method: Method, k: int, n: int, r: int = 1):
     if type(r) is not int:
         _check_int("r", r)
     if r != 1:
-        raise ValueError(f"method {Method(method).value} does not support r > 1")
+        raise ValueError(f"method {Method(method).value} supports only r = 1")
     return fn(k, n)
 
 

@@ -93,9 +93,14 @@ class TestPowersum:
                     "--method", "range-r-stirling"]) == 0
         assert "range-r-stirling: 29" in capsys.readouterr().out
 
-    def test_r_with_incompatible_method_is_usage_error(self):
-        assert run(["powersum", "--k", "2", "--n", "4", "--r", "2",
-                    "--method", "lang-refined"]) == 2
+    def test_r_with_incompatible_method_is_usage_error(self, capsys):
+        for r in ("2", "0"):
+            assert run(["powersum", "--k", "2", "--n", "3", "--r", r,
+                        "--method", "lang-refined"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == \
+                "powersumkit: error: method lang-refined supports only r = 1"
 
     def test_bad_parameters_are_usage_errors(self):
         assert run(["powersum", "--k", "-1", "--n", "3"]) == 2

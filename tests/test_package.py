@@ -1,10 +1,14 @@
 """Rules over the package as a whole: its public surface, the one rule for
-int arguments, and the source conventions README states (no assert, no
+int arguments, the source conventions README states (no assert, no
 unbounded lru_cache, no function that calls itself, no recurrence table
-whose step reads another table, no TypeError raised outside exact)."""
+whose step reads another table, no TypeError raised outside exact), and
+an import that fills no cache."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
 import sys
 import types
 from contextlib import redirect_stdout
@@ -170,3 +174,32 @@ def test_source_follows_the_conventions():
                     and _called_name(getattr(node.exc, "func", node.exc)) == "TypeError":
                 found.append(f"{where} raise TypeError outside exact.py")
     assert found == []
+
+
+# imports every module of the package and builds the CLI's parser, then
+# prints hits, misses and size of every module-level cache_info() callable
+_IMPORT_ONLY = """
+import importlib, json, pkgutil
+import powersumkit, powersumkit.cli
+mods = [powersumkit] + [importlib.import_module("powersumkit." + m.name)
+                        for m in pkgutil.iter_modules(powersumkit.__path__)]
+powersumkit.cli.build_parser()
+print(json.dumps({f"{mod.__name__}.{name}": [info.hits, info.misses, info.currsize]
+                  for mod in mods for name, value in vars(mod).items()
+                  if callable(getattr(value, "cache_info", None))
+                  for info in [value.cache_info()]}))
+"""
+
+
+def test_importing_the_cli_fills_no_cache():
+    """A fresh interpreter that imports every module and builds the CLI's
+    parser has read and filled no cache, so a process forked from it (as
+    the benchmark forks its cold tasks) starts cold."""
+    src = str(Path(powersumkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    caches = json.loads(proc.stdout)
+    assert len(caches) >= 6  # four tables and two point caches
+    assert {name: info for name, info in caches.items() if info != [0, 0, 0]} == {}

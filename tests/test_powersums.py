@@ -149,8 +149,9 @@ def test_concordance_all_methods(n):
 
 
 def test_compute_rejects_r_for_non_range_methods():
-    with pytest.raises(ValueError):
-        compute(Method.LANG_REFINED, 2, 5, r=2)
+    for r in (0, -1, 2):
+        with pytest.raises(ValueError, match=r"^method lang-refined supports only r = 1$"):
+            compute(Method.LANG_REFINED, 2, 5, r=r)
 
 
 def test_compute_accepts_method_string_values():
