@@ -28,8 +28,11 @@ All functions are pure.  Three `tables.recurrence` tables are built
 bottom-up here: the two Stirling row tables, whose steps both call one
 row step, _triangle_row, and _bernoulli, whose term k is (B_k, D_k) with
 D_k the lcm of the denominators of B_0..B_k, at least doubling per step;
-each step reads only its own table.  The sigma/h values are kept in point
-caches of fixed size.
+each step reads only its own table.  Only this module reads those terms:
+bernoulli_number takes B_k, and _scaled_bernoulli gives D_k with the ints
+D_k B_0..D_k B_k, over which bernoulli_polynomial and the two
+Bernoulli-form power sums of powersums sum in ints.  The sigma/h values
+are kept in point caches of fixed size.
 """
 
 from __future__ import annotations
@@ -263,20 +266,21 @@ def bernoulli_number(k: int) -> Fraction:
     return _bernoulli(k)[0]
 
 
+def _scaled_bernoulli(k: int) -> Tuple[int, List[int]]:
+    """(D, [D B_0, ..., D B_k]) with D the lcm of the denominators of
+    B_0..B_k: the Bernoulli numbers as ints over one common denominator."""
+    d = _bernoulli(k)[1]
+    scaled = []
+    for i in range(k + 1):
+        b = _bernoulli(i)[0]
+        scaled.append(b.numerator * (d // b.denominator))
+    return d, scaled
+
+
 def bernoulli_polynomial(k: int, x: Scalar) -> Fraction:
     """B_k(x) = sum_{i=0}^{k} C(k, i) B_i x^(k-i); B_k(0) = B_k.  With D the
     lcm of the denominators of B_0..B_k, the int polynomial D B_k(x) is
     evaluated at x and divided by D."""
     _check_int("k", k, 0)
-    d = _bernoulli(k)[1]
-    coeffs = [0] * (k + 1)  # coeffs[k - i] = C(k, i) B_i D
-    coeffs[k] = d
-    if k:
-        coeffs[k - 1] = -k * d // 2  # B_1 = -1/2, and D is even for k >= 1
-    # B_i = 0 for odd i > 1, so C(k, i) steps two places along row k
-    c = 1
-    for i in range(2, k + 1, 2):
-        c = c * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
-        b = _bernoulli(i)[0]
-        coeffs[k - i] = c * b.numerator * (d // b.denominator)
-    return Poly(coeffs)(x) / d
+    d, scaled = _scaled_bernoulli(k)
+    return Poly([comb(k, i) * scaled[k - i] for i in range(k + 1)])(x) / d

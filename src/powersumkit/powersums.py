@@ -16,8 +16,7 @@ from typing import Dict
 
 from .combinatorics import (
     Parity,
-    bernoulli_number,
-    bernoulli_polynomial,
+    _scaled_bernoulli,
     binomial,
     central_factorial_first,
     central_factorial_second,
@@ -77,6 +76,14 @@ def _check_query(method: str, k: int, n: int, r: int = 1) -> None:
         _check_int("r", r)
     if r < 1 or r > n:
         raise ValueError("need 1 <= r <= n")
+
+
+def _quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an int, else ConsistencyError."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"{what} produced non-integer value {Fraction(num, den)}")
+    return q
 
 
 def s_brute(k: int, n: int, r: int = 1) -> int:
@@ -163,15 +170,20 @@ def s_odd_even_powers(k: int, n: int) -> int:
 
 def s_odd_even_powers_poly(k: int, n: int) -> int:
     """Same odd-base power sum as a polynomial in n:
-    (2^(2k)/(2k+1)) sum_j C(2k+1, 2j+1) B_{2k-2j}(1/2) n^(2j+1)."""
+    (2^(2k)/(2k+1)) sum_j C(2k+1, 2j+1) B_{2k-2j}(1/2) n^(2j+1), where
+    B_m(1/2) = (2^(1-m) - 1) B_m.  With D the lcm of the denominators of
+    B_0..B_2k and i = k - j, each 2^(2k) D B_2i(1/2) =
+    (2^(2j+1) - 2^(2k)) D B_2i is an int, so the sum is one int over
+    (2k+1) D."""
     _check_query("odd-bernoulli-poly", k, n)
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for j in range(0, k + 1):
-        total += comb(2 * k + 1, 2 * j + 1) \
-            * bernoulli_polynomial(2 * k - 2 * j, half) * n ** (2 * j + 1)
-    total *= Fraction(2 ** (2 * k), 2 * k + 1)
-    return _as_int(total, "odd-power Bernoulli polynomial form")
+    d, scaled = _scaled_bernoulli(2 * k)
+    top, n2 = 1 << 2 * k, n * n
+    total, power = 0, n  # power = n^(2j+1)
+    for j in range(k + 1):
+        total += comb(2 * k + 1, 2 * j + 1) * ((2 << 2 * j) - top) \
+            * scaled[2 * k - 2 * j] * power
+        power *= n2
+    return _quotient(total, (2 * k + 1) * d, "odd-power Bernoulli polynomial form")
 
 
 def triangular_sum_ls(k: int, n: int) -> int:
@@ -187,15 +199,24 @@ def triangular_sum_ls(k: int, n: int) -> int:
 
 def triangular_sum_binomial(k: int, n: int) -> int:
     """T_1^k + ... + T_n^k as (1/2^k) sum_j C(k, j) S_{k+j}(n), with
-    S_{k+j}(n) in its Bernoulli-polynomial form (B_m(n+1) - B_m)/m,
-    m = k+j+1 >= 2, where B_m(1) = B_m."""
+    S_{m-1}(n) in its Bernoulli-polynomial form (B_m(n+1) - B_m)/m,
+    m = k+j+1 >= 2.  With D the lcm of the denominators of B_0..B_(2k+1)
+    and x = n+1, m D S_{m-1}(n) = sum_{i<m} C(m, i) (D B_i) x^(m-i) is an
+    int dot product."""
     _check_query("triangular-binomial", k, n)
-    total = Fraction(0)
-    for j in range(0, k + 1):
+    d, scaled = _scaled_bernoulli(2 * k + 1)
+    x, powers = n + 1, [1]  # powers[e] = x^e
+    for _ in range(2 * k + 1):
+        powers.append(powers[-1] * x)
+    what = "triangular binomial sum"
+    total = 0
+    for j in range(k + 1):
         m = k + j + 1
-        total += comb(k, j) \
-            * (bernoulli_polynomial(m, n + 1) - bernoulli_number(m)) / m
-    return _as_int(total / 2 ** k, "triangular binomial sum")
+        # B_i = 0 for odd i > 1, so past i = 1 only even i contribute
+        scaled_sum = m * scaled[1] * powers[m - 1] + sum(
+            comb(m, i) * scaled[i] * powers[m - i] for i in range(0, m, 2))
+        total += comb(k, j) * _quotient(scaled_sum, m * d, what)
+    return _quotient(total, 1 << k, what)
 
 
 def ones_identity_residual(k: int, n: int) -> int:

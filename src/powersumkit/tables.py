@@ -6,12 +6,14 @@ from the terms before it lives in a `recurrence` table, filled bottom-up,
 so no input is bounded by the interpreter's recursion limit.  There are
 four: the two Stirling row tables and the Bernoulli numbers in
 `combinatorics`, and the zeta(2k) recursion in `zeta`.  A step reads only
-its own terms, so what is derived from a term (a running lcm, a rescaled
-coefficient) is carried in that term, never in a second table that could
-go stale when the first is cleared.  Every step returns the block of
-terms that follows the ones it is given, and its comment says why the
-block is as long as it is.  The only other caches are the fixed-size
-point caches on sigma/h values in `combinatorics`.
+its own terms, so what a step needs from the terms before it (a running
+lcm) is carried in each term, never in a second table that could go stale
+when the first is cleared; a value only read off a term, such as the
+coefficient of pi^(2k) off a zeta(2k) term, is formed where it is read.
+Every step returns the block of terms that follows the ones it is given,
+and its comment says why the block is as long as it is.  The only other
+caches are the fixed-size point caches on sigma/h values in
+`combinatorics`.
 """
 
 import threading

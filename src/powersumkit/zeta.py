@@ -4,10 +4,12 @@ plus the Bernoulli-number identities that fall out of the same machinery.
 zeta(2k) values always come from the recursion in zeta_even_exact, run
 on g_k = c_k (2k)!/4^k (c_k the coefficient of pi^(2k)) so that its terms
 keep small denominators.  It is one `tables.recurrence` table, _zeta, whose
-term k is (g_k, d_k, c_k) with d_k the running lcm of the denominators of
-g_0..g_k.  Each step fills the table from its end through the k asked
-for: across that block the numerators of the earlier g live over one
-running lcm, so each new g is one int dot product and one division.  Its
+term k is (g_k, d_k) with d_k the running lcm of the denominators of
+g_0..g_k; c_k = g_k 4^k/(2k)! is formed only where it is read, in
+zeta_even_exact and h_inverse_squares_check.  Each step fills the table
+from its end through the k asked for: across that block the numerators of
+the earlier g live over one running lcm, so each new g is one int dot
+product and one division.  Its
 step reads only its own earlier terms and no Bernoulli number, so
 zeta_even_classical, the Bernoulli closed form over the tangent-number
 Bernoulli numbers, is an independent check of it.
@@ -49,8 +51,8 @@ def sigma_inverse_squares(k: int) -> PiPower:
 
 
 @recurrence
-def _zeta(terms, j: int) -> List[Tuple[Fraction, int, Fraction]]:
-    # (g_k, d_k, c_k) for k = len(terms)..j: c_k the coefficient of pi^(2k) in
+def _zeta(terms, j: int) -> List[Tuple[Fraction, int]]:
+    # (g_k, d_k) for k = len(terms)..j, with c_k the coefficient of pi^(2k) in
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
     #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,
     # multiplied through by (2k+1)!: with g_k = c_k (2k)!/4^k,
@@ -63,7 +65,7 @@ def _zeta(terms, j: int) -> List[Tuple[Fraction, int, Fraction]]:
     # rebuilt from the terms at each block start, so no second table is kept.
     d = terms[-1][1] if terms else 2
     u = [((1 << 2 * i) - 2) * g.numerator * (d // g.denominator)
-         for i, (g, _, _) in enumerate(terms)]
+         for i, (g, _) in enumerate(terms)]
     block = []
     for k in range(len(terms), j + 1):
         if k == 0:
@@ -81,9 +83,14 @@ def _zeta(terms, j: int) -> List[Tuple[Fraction, int, Fraction]]:
                 u = [x * grow for x in u]
                 d *= grow
         u.append(((1 << 2 * k) - 2) * g.numerator * (d // g.denominator))
-        c_k = Fraction(g.numerator * 4 ** k, g.denominator * factorial(2 * k))
-        block.append((g, d, c_k))
+        block.append((g, d))
     return block
+
+
+def _coeff(k: int) -> Fraction:
+    # c_k = g_k 4^k/(2k)!, reduced only here, where it is read: c_0 = -1/2
+    g = _zeta(k)[0]
+    return Fraction(g.numerator << 2 * k, g.denominator * factorial(2 * k))
 
 
 def zeta_even_exact(k: int) -> PiPower:
@@ -91,7 +98,7 @@ def zeta_even_exact(k: int) -> PiPower:
     built from the inverse-squares symmetric functions, filled bottom-up."""
     if type(k) is not int or k < 1:
         _check_int("k", k, 1)
-    return PiPower(_zeta(k)[2], k)
+    return PiPower(_coeff(k), k)
 
 
 def zeta_even_classical(k: int) -> PiPower:
@@ -112,8 +119,8 @@ def h_inverse_squares_check(k: int) -> Fraction:
     _check_int("k", k, 1)
     sigma = [sigma_inverse_squares(m).coeff for m in range(1, k + 1)]
     # coefficient of pi^(2j) in h_j; zeta(0) = -1/2 gives h_0 = 1
-    h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _zeta(j)[2] for j in range(k)]
-    return _zeta(k)[2] - power_sum_from_sigma_h(sigma, h)
+    h = [Fraction(2 * (4 ** j - 2), 4 ** j) * _coeff(j) for j in range(k)]
+    return _coeff(k) - power_sum_from_sigma_h(sigma, h)
 
 
 def bernoulli_binomial_identity(k: int) -> Fraction:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersumkit import combinatorics, powersums, symfuncs
 from powersumkit.powersums import (
     Method,
     compute,
@@ -118,6 +119,47 @@ def test_triangular_sums_match_direct(k):
         direct = sum((i * (i + 1) // 2) ** k for i in range(1, n + 1))
         assert triangular_sum_ls(k, n) == direct
         assert triangular_sum_binomial(k, n) == direct
+
+
+@pytest.mark.parametrize("k", [1, 2, 32, 52, 64])
+@pytest.mark.parametrize("n", [1, 2, 45, 55])
+def test_bernoulli_forms_match_direct_sums_at_depth(k, n):
+    """Far past the verify grid (k <= 6, n <= 12): a slip in the common
+    denominator or in an index of the int sums would show here."""
+    odd = sum((2 * i - 1) ** (2 * k) for i in range(1, n + 1))
+    triangular = sum((i * (i + 1) // 2) ** k for i in range(1, n + 1))
+    assert s_odd_even_powers_poly(k, n) == odd
+    assert triangular_sum_binomial(k, n) == triangular
+
+
+SIGMA_H_CELLS = ("r_stirling_first", "r_stirling_second", "central_factorial_first",
+                 "central_factorial_second", "legendre_stirling_first",
+                 "legendre_stirling_second")
+
+
+def test_bernoulli_forms_reach_no_formula_they_are_checked_against(monkeypatch):
+    """A formula must not call one it is checked against: with every other
+    method, the sigma/h relation, the sigma/h DPs and the sigma/h cell
+    functions made to raise, and the Bernoulli table cold, both Bernoulli
+    forms still give the right value at (5, 7)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Bernoulli form reached a formula it is checked against")
+
+    bernoulli_forms = (s_odd_even_powers_poly, triangular_sum_binomial)
+    for fn in powersums._METHODS.values():
+        if fn not in bernoulli_forms:
+            monkeypatch.setattr(powersums, fn.__name__, forbidden)
+    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums", *SIGMA_H_CELLS):
+        monkeypatch.setattr(powersums, name, forbidden)
+    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums",
+                 "elementary_prefix", "complete_prefix"):
+        monkeypatch.setattr(symfuncs, name, forbidden)
+    for name in ("elementary_prefix", "complete_prefix", *SIGMA_H_CELLS):
+        monkeypatch.setattr(combinatorics, name, forbidden)
+    combinatorics._bernoulli.cache_clear()
+    assert s_odd_even_powers_poly(5, 7) == sum((2 * i - 1) ** 10 for i in range(1, 8))
+    assert triangular_sum_binomial(5, 7) == sum((i * (i + 1) // 2) ** 5
+                                                for i in range(1, 8))
 
 
 def test_ones_identity_examples():

@@ -1,7 +1,6 @@
 import importlib.util
 from collections import Counter
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -109,11 +108,10 @@ def test_a_fault_in_the_zeta_recursion_fails_the_bernoulli_cells_too(monkeypatch
     table = zeta._zeta
 
     def faulty(k):
-        g, d, c = table(k)
+        g, d = table(k)
         if k == 4:
             g += Fraction(1, 10 ** 6)
-            c = g * 4 ** k / factorial(2 * k)
-        return g, d, c
+        return g, d
 
     # the fault is in what the table returns, not in what it keeps, so
     # nothing is left to clear
@@ -146,6 +144,37 @@ def test_a_fault_in_the_tangent_numbers_fails_zeta_but_not_the_even_recursion(mo
         combinatorics._bernoulli.cache_clear()
     assert "zeta classical-oracle k=4" in failed
     assert not {cell for cell in failed if cell.startswith("bernoulli even-recursion")}
+
+
+def test_a_fault_in_the_tangent_numbers_fails_both_bernoulli_power_sums(monkeypatch):
+    """odd-bernoulli-poly reads B_8 from k = 4 on and triangular-binomial
+    from k + j + 1 = 9 on, so a wrong T_4 (and so a wrong B_8) fails the
+    `central` and `triangular` suites, and only in the cells of those two
+    methods: both still read the tangent-number Bernoulli numbers."""
+    tangent = combinatorics._tangent_numbers
+
+    def off_by_one(m):
+        t = tangent(m)
+        if m >= 4:
+            t[4] += 1
+        return t
+
+    monkeypatch.setattr(combinatorics, "_tangent_numbers", off_by_one)
+    combinatorics._bernoulli.cache_clear()
+    try:
+        failures = {name: run_suite(name).failures for name in ("central", "triangular")}
+    finally:
+        combinatorics._bernoulli.cache_clear()
+    # a wrong value fails a cell of the method; a non-integer one ends the
+    # suite with one `raised` cell whose message names the method's form
+    for name, cell, form in (("central", "central odd-poly",
+                              "odd-power Bernoulli polynomial form"),
+                             ("triangular", "triangular binomial",
+                              "triangular binomial sum")):
+        assert failures[name]
+        for failed, _, actual in failures[name]:
+            assert failed.startswith(cell) or (failed == f"{name} raised"
+                                               and form in actual), (failed, actual)
 
 
 ORTHO_TAGS = ("naturals", "squares", "odd_squares", "doubled_triangulars")
