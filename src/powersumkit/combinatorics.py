@@ -32,7 +32,11 @@ each step reads only its own table.  Only this module reads those terms:
 bernoulli_number takes B_k, and _scaled_bernoulli gives D_k with the ints
 D_k B_0..D_k B_k, over which bernoulli_polynomial and the two
 Bernoulli-form power sums of powersums sum in ints.  The sigma/h values
-are kept in point caches of fixed size.
+are kept in two point caches of fixed size, _sigma_int and _h_int, keyed
+on the variable set (tag, n, start) and the index.  The triangle cells read
+them with a sign and an index shift; the four sigma/h power sums of
+powersums read them directly, so verify's `range` cells check those signs
+and shifts.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import List, Optional, Tuple
 
-from .exact import Poly, Scalar, _as_int, _check_int
+from .exact import Poly, Scalar, _check_int, _quotient
 from .sequences import sequence
 from .symfuncs import complete_prefix, elementary_prefix
 from .tables import recurrence
@@ -130,7 +134,7 @@ def stirling_second(n: int, k: int) -> int:
 
 # -- symmetric-function-backed families -------------------------------------
 
-# entries per sigma/h point cache: `verify --suite all` keeps 0.8-0.9k
+# entries per sigma/h point cache: `verify --suite all` keeps 0.6-0.9k
 # (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits), while a
 # 64-row table reads 2145 distinct values and hits about once.  The caches
 # are keyed on the arguments (tag, n, start) of sequence and m, so a hit
@@ -140,12 +144,14 @@ POINT_CACHE_SIZE = 1 << 13
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
 def _sigma_int(tag: str, n: int, start: int, m: int) -> int:
-    return _as_int(elementary_prefix(sequence(tag, n, start), m)[m], f"sigma_{m} of {tag}")
+    x = elementary_prefix(sequence(tag, n, start), m)[m]
+    return _quotient(x.numerator, x.denominator, f"sigma_{m} of {tag}")
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
 def _h_int(tag: str, n: int, start: int, m: int) -> int:
-    return _as_int(complete_prefix(sequence(tag, n, start), m)[m], f"h_{m} of {tag}")
+    x = complete_prefix(sequence(tag, n, start), m)[m]
+    return _quotient(x.numerator, x.denominator, f"h_{m} of {tag}")
 
 
 def r_stirling_first(n: int, k: int, r: int) -> int:

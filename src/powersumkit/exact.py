@@ -4,7 +4,9 @@ multiples of even powers of pi.
 Everything here is immutable and pure; no floating point appears in any
 computation path: _exact turns away floats and bools with a TypeError.
 _check_int is the one rule for the int arguments of the whole package, and
-this is the only module that raises TypeError.
+this is the only module that raises TypeError.  _quotient is the one
+integrality rule: an exact division whose nonzero remainder raises
+ConsistencyError rather than being rounded.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ def _check_int(name: str, value: int, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ConsistencyError(f"{what} produced non-integer value {x}")
-    return x.numerator
+def _quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an int, else ConsistencyError."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"{what} produced non-integer value {Fraction(num, den)}")
+    return q
 
 
 class Poly:

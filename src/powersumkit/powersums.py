@@ -1,6 +1,9 @@
 """Every power-sum formula in scope, each from its own numbers (the Lang-type
 ones share only symfuncs.power_sum_from_sigma_h, and newton-recurrence runs
 symfuncs.newton_girard_power_sums), so concordance is a real check.
+range-r-stirling, even-central, odd-central and triangular-ls are that
+relation over four variable sets: _sigma_h_sum reads their sigma and h
+straight off the sigma/h point caches of combinatorics.
 
 S_k(n) denotes 1^k + 2^k + ... + n^k, with 0^0 = 1 so that S_0(n) = n.
 Rational-returning forms check integrality at the boundary; a non-integer
@@ -10,24 +13,18 @@ result raises ConsistencyError rather than being rounded.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import comb, factorial
 from typing import Dict
 
 from .combinatorics import (
-    Parity,
+    _h_int,
     _scaled_bernoulli,
+    _sigma_int,
     binomial,
-    central_factorial_first,
-    central_factorial_second,
-    legendre_stirling_first,
-    legendre_stirling_second,
-    r_stirling_first,
-    r_stirling_second,
     stirling_first_unsigned,
     stirling_second,
 )
-from .exact import ConsistencyError, _as_int, _check_int
+from .exact import ConsistencyError, _check_int, _quotient
 from .symfuncs import newton_girard_power_sums, power_sum_from_sigma_h
 
 __all__ = [
@@ -76,14 +73,6 @@ def _check_query(method: str, k: int, n: int, r: int = 1) -> None:
         _check_int("r", r)
     if r < 1 or r > n:
         raise ValueError("need 1 <= r <= n")
-
-
-def _quotient(num: int, den: int, what: str) -> int:
-    """num / den, which must be an int, else ConsistencyError."""
-    q, rem = divmod(num, den)
-    if rem:
-        raise ConsistencyError(f"{what} produced non-integer value {Fraction(num, den)}")
-    return q
 
 
 def s_brute(k: int, n: int, r: int = 1) -> int:
@@ -138,34 +127,37 @@ def s_binomial_recurrence(k: int, n: int) -> int:
     return sums[k]
 
 
-def s_range(k: int, n: int, r: int) -> int:
-    """r^k + (r+1)^k + ... + n^k via the r-Stirling numbers."""
-    _check_query("range-r-stirling", k, n, r)
-    sigma = [r_stirling_first(n + 1, n + 1 - m, r) for m in range(1, k + 1)]
-    h = [r_stirling_second(n + j, n, r) for j in range(k)]
+def _sigma_h_sum(tag: str, n: int, start: int, k: int) -> int:
+    """p_k = sum_{m=1}^{k} (-1)^(m-1) m sigma_m h_{k-m} over sequence(tag, n,
+    start); sigma_m = 0 for m above the number of variables, so it is not read."""
+    size = n - start + 1
+    sigma = [_sigma_int(tag, n, start, m) if m <= size else 0 for m in range(1, k + 1)]
+    h = [_h_int(tag, n, start, j) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h)
+
+
+def s_range(k: int, n: int, r: int) -> int:
+    """r^k + (r+1)^k + ... + n^k = sum_m (-1)^(m-1) m [n+1, n+1-m]_r
+    {n+k-m, n}_r: over r..n, sigma_m and h_j are the r-Stirling cells
+    [n+1, n+1-m]_r and {n+j, n}_r."""
+    _check_query("range-r-stirling", k, n, r)
+    return _sigma_h_sum("naturals", n, r, k)
 
 
 def s_even_powers(k: int, n: int) -> int:
-    """1^(2k) + 2^(2k) + ... + n^(2k) via even-index central factorial
-    numbers: -sum_m m u(n+1, n+1-m) U(n+k-m, n)."""
+    """1^(2k) + 2^(2k) + ... + n^(2k) = -sum_m m u(n+1, n+1-m) U(n+k-m, n):
+    over 1^2..n^2, sigma_m and h_j are the even-index central factorial
+    cells (-1)^m u(n+1, n+1-m) and U(n+j, n)."""
     _check_query("even-central", k, n)
-    even = Parity.EVEN  # one enum attribute read, not 2k
-    sigma = [(-1) ** m * central_factorial_first(n + 1, n + 1 - m, even)
-             for m in range(1, k + 1)]
-    h = [central_factorial_second(n + j, n, even) for j in range(k)]
-    return power_sum_from_sigma_h(sigma, h)
+    return _sigma_h_sum("squares", n, 1, k)
 
 
 def s_odd_even_powers(k: int, n: int) -> int:
-    """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) via odd-index central factorial
-    numbers: -sum_m m v(n, n-m) V(n-1+k-m, n-1)."""
+    """1^(2k) + 3^(2k) + ... + (2n-1)^(2k) = -sum_m m v(n, n-m)
+    V(n-1+k-m, n-1): over 1^2, 3^2, ..., (2n-1)^2, sigma_m and h_j are the
+    odd-index central factorial cells (-1)^m v(n, n-m) and V(n-1+j, n-1)."""
     _check_query("odd-central", k, n)
-    odd = Parity.ODD
-    sigma = [(-1) ** m * central_factorial_first(n, n - m, odd)
-             for m in range(1, k + 1)]
-    h = [central_factorial_second(n - 1 + j, n - 1, odd) for j in range(k)]
-    return power_sum_from_sigma_h(sigma, h)
+    return _sigma_h_sum("odd_squares", n, 1, k)
 
 
 def s_odd_even_powers_poly(k: int, n: int) -> int:
@@ -187,14 +179,12 @@ def s_odd_even_powers_poly(k: int, n: int) -> int:
 
 
 def triangular_sum_ls(k: int, n: int) -> int:
-    """T_1^k + ... + T_n^k via Legendre-Stirling numbers:
-    -(1/2^k) sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n)."""
+    """T_1^k + ... + T_n^k = -(1/2^k) sum_m m Ps_{n+1}^(n+1-m) PS_{n+k-m}^(n):
+    over 2T_i = i(i+1), sigma_m and h_j are the Legendre-Stirling cells
+    (-1)^m Ps_{n+1}^(n+1-m) and PS_{n+j}^(n)."""
     _check_query("triangular-ls", k, n)
-    sigma = [(-1) ** m * legendre_stirling_first(n + 1, n + 1 - m)
-             for m in range(1, k + 1)]
-    h = [legendre_stirling_second(n + j, n) for j in range(k)]
-    return _as_int(Fraction(power_sum_from_sigma_h(sigma, h), 2 ** k),
-                   "Legendre-Stirling triangular sum")
+    return _quotient(_sigma_h_sum("doubled_triangulars", n, 1, k), 1 << k,
+                     "Legendre-Stirling triangular sum")
 
 
 def triangular_sum_binomial(k: int, n: int) -> int:

@@ -5,9 +5,11 @@ Variable lists are any iterable of ints / Fractions, such as the tuples of
 sequences.sequence (a float or a bool raises TypeError).  The prefix DPs
 always return Fractions, even when integer-valued, so Fraction variables
 take the same code path; integer-valued callers check unit denominators at
-their own boundary (ConsistencyError).
+their own boundary (exact._quotient, ConsistencyError).
 power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
-sums and h_inverse_squares_check only build its sigma and h;
+sums and h_inverse_squares_check only build its sigma and h, four of the
+power sums straight off their variable sets, and verify's `range` cells
+off the triangle cells those sigma and h equal;
 newton_girard_power_sums is the one Newton-Girard recurrence, which
 s_newton_recurrence feeds with its own sigma.  Both refuse floats and bools
 and use the entries they are given unchanged, so int entries give ints.

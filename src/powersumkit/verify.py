@@ -152,19 +152,40 @@ def _ls_tables(rep: VerifyReport, k_max, n_max) -> None:
 
 @_suite("range", k=8, n=10)
 def _range(rep: VerifyReport, k_max, n_max) -> None:
+    even, odd = cmb.Parity.EVEN, cmb.Parity.ODD
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
-            # lang-original: the one Lang form that does not share s_range's sum
-            rep.check(f"range r=1 k={k} n={n}",
-                      ps.s_lang_original(k, n), ps.s_range(k, n, 1))
-            for r in range(1, n + 1):
-                expected = ps.s_brute(k, n) - (ps.s_brute(k, r - 1) if r >= 2 else 0)
+            # the triangle cells equal to the sigma_m and h_j that s_range,
+            # s_even_powers and s_odd_even_powers read straight off their
+            # variables, signs and index shifts included
+            r = (n + 1) // 2
+            sigma = [cmb.r_stirling_first(n + 1, n + 1 - m, r) for m in range(1, k + 1)]
+            h = [cmb.r_stirling_second(n + j, n, r) for j in range(k)]
+            rep.check(f"range r-stirling-cells k={k} n={n} r={r}",
+                      ps.s_brute(k, n, r), sf.power_sum_from_sigma_h(sigma, h))
+            even_sigma = [(-1) ** m * cmb.central_factorial_first(n + 1, n + 1 - m, even)
+                          for m in range(1, k + 1)]
+            even_h = [cmb.central_factorial_second(n + j, n, even) for j in range(k)]
+            odd_sigma = [(-1) ** m * cmb.central_factorial_first(n, n - m, odd)
+                         for m in range(1, k + 1)]
+            odd_h = [cmb.central_factorial_second(n - 1 + j, n - 1, odd) for j in range(k)]
+            rep.check(f"range central-cells k={k} n={n}",
+                      (sum(i ** (2 * k) for i in range(1, n + 1)),
+                       sum((2 * i - 1) ** (2 * k) for i in range(1, n + 1))),
+                      (sf.power_sum_from_sigma_h(even_sigma, even_h),
+                       sf.power_sum_from_sigma_h(odd_sigma, odd_h)))
+            for r in range(2, n + 1):
+                expected = ps.s_brute(k, n) - ps.s_brute(k, r - 1)
                 rep.check(f"range telescoping k={k} n={n} r={r}",
                           expected, ps.s_range(k, n, r))
 
 
 @_suite("zeta", k=15)
 def _zeta(rep: VerifyReport, k_max, n_max) -> None:
+    # read first from a cold table, k_max is built in one block, in which
+    # the step rescales its ints as the running lcm grows; ascending reads
+    # alone build one term per step and never rescale
+    zt.zeta_even_exact(k_max)
     for k in range(1, k_max + 1):
         rep.check(f"zeta classical-oracle k={k}",
                   zt.zeta_even_classical(k), zt.zeta_even_exact(k))

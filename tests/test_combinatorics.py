@@ -216,6 +216,35 @@ def test_sigma_h_families_follow_their_triangle_recurrences(name):
         assert [cell(n, k) for k in range(n + 1)] == row, f"row {n}"
 
 
+# Every triangle cell function and binomial, the r-Stirling ones aside,
+# over the 0 <= k <= n rule alone
+ROW_0_CELLS = {
+    "binomial": binomial,
+    "stirling_first_unsigned": stirling_first_unsigned,
+    "stirling_second": stirling_second,
+    **{f"{cell.__name__} {parity.value}": partial(cell, parity=parity)
+       for cell in (central_factorial_first, central_factorial_second) for parity in Parity},
+    "legendre_stirling_first": legendre_stirling_first,
+    "legendre_stirling_second": legendre_stirling_second,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_0_CELLS))
+def test_row_0_holds_one_cell_and_reads_0_either_side(name):
+    """The triangle rule at n = 0: (0, 0) is 1, and (0, 1) and (0, -1) lie
+    outside 0 <= k <= n, so they are 0 and raise nothing."""
+    cell = ROW_0_CELLS[name]
+    assert (cell(0, 0), cell(0, 1), cell(0, -1)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("cell", [r_stirling_first, r_stirling_second])
+def test_r_stirling_cells_at_n_0_have_no_r(cell):
+    """1 <= r <= n has no r at n = 0, inside the row or outside it."""
+    for k in (0, 1, -1):
+        with pytest.raises(ValueError, match="need 1 <= r <= n"):
+            cell(0, k, 1)
+
+
 class TestBernoulli:
     def test_small_values(self):
         assert bernoulli_number(0) == 1

@@ -139,9 +139,9 @@ SIGMA_H_CELLS = ("r_stirling_first", "r_stirling_second", "central_factorial_fir
 
 def test_bernoulli_forms_reach_no_formula_they_are_checked_against(monkeypatch):
     """A formula must not call one it is checked against: with every other
-    method, the sigma/h relation, the sigma/h DPs and the sigma/h cell
-    functions made to raise, and the Bernoulli table cold, both Bernoulli
-    forms still give the right value at (5, 7)."""
+    method, the sigma/h relation, the sigma/h DPs, the sigma/h point caches
+    and the sigma/h cell functions made to raise, and the Bernoulli table
+    cold, both Bernoulli forms still give the right value at (5, 7)."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a Bernoulli form reached a formula it is checked against")
 
@@ -149,7 +149,7 @@ def test_bernoulli_forms_reach_no_formula_they_are_checked_against(monkeypatch):
     for fn in powersums._METHODS.values():
         if fn not in bernoulli_forms:
             monkeypatch.setattr(powersums, fn.__name__, forbidden)
-    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums", *SIGMA_H_CELLS):
+    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums", "_sigma_int", "_h_int"):
         monkeypatch.setattr(powersums, name, forbidden)
     for name in ("power_sum_from_sigma_h", "newton_girard_power_sums",
                  "elementary_prefix", "complete_prefix"):
@@ -194,6 +194,19 @@ def test_compute_rejects_r_for_non_range_methods():
     for r in (0, -1, 2):
         with pytest.raises(ValueError, match=r"^method lang-refined supports only r = 1$"):
             compute(Method.LANG_REFINED, 2, 5, r=r)
+
+
+@pytest.mark.parametrize("r", [1.0, True])
+def test_a_non_int_r_is_a_type_error_at_the_least_n(r):
+    """n = 1 is the least n, so at n = 1 only r is wrong: a float or a bool
+    r is a TypeError, for s_brute and for compute of every method that
+    takes r."""
+    with pytest.raises(TypeError, match="^r must be an int"):
+        s_brute(2, 1, r)
+    for method, (_, takes_r, _) in powersums._CONTRACTS.items():
+        if takes_r:
+            with pytest.raises(TypeError, match="^r must be an int"):
+                compute(method, 2, 1, r)
 
 
 def test_compute_accepts_method_string_values():

@@ -42,6 +42,11 @@ def test_default_grids_keep_the_benchmark_cell_count():
     spec.loader.exec_module(oracles)
     report = run_suite("all")
     assert report.ok and report.cells == oracles.VERIFY_ALL_CELLS
+    # and per suite, so that no cells move from one suite to another
+    assert {name: suite().cells for name, suite in SUITES.items()} == {
+        "concordance": 1850, "orthogonality": 832, "ones": 225, "central": 234,
+        "triangular": 144, "ls_tables": 72, "range": 520, "zeta": 33, "bernoulli": 88,
+        "pn_coeffs": 78}
 
 
 def _raise(exc):
@@ -77,12 +82,42 @@ def test_out_of_memory_in_a_formula_is_still_exit_2(monkeypatch):
 
 
 def test_range_r1_cells_do_not_share_the_sum_they_check(monkeypatch):
-    """The r=1 cells check s_range against a route that does not go through
-    power_sum_from_sigma_h, so a fault in that sum fails them."""
-    shared = powersums.power_sum_from_sigma_h
-    monkeypatch.setattr(powersums, "power_sum_from_sigma_h", lambda s, h: shared(s, h) + 1)
+    """The cells in the r = 1 places of the grid, `range r-stirling-cells`
+    and `range central-cells`, check the sigma/h sum over triangle cells
+    against direct sums that do not go through power_sum_from_sigma_h, so a
+    fault in that sum fails every one of them."""
+    shared = symfuncs.power_sum_from_sigma_h
+
+    def off_by_one(sigma, h):
+        return shared(sigma, h) + 1
+
+    monkeypatch.setattr(symfuncs, "power_sum_from_sigma_h", off_by_one)
+    monkeypatch.setattr(powersums, "power_sum_from_sigma_h", off_by_one)
     failed = [cell for cell, _, _ in run_suite("range", 3, 4).failures]
-    assert len([cell for cell in failed if cell.startswith("range r=1 ")]) == 3 * 4
+    for family in ("range r-stirling-cells ", "range central-cells "):
+        assert len([cell for cell in failed if cell.startswith(family)]) == 3 * 4
+
+
+def test_range_cells_check_the_signs_and_shifts_of_the_triangle_cells(monkeypatch):
+    """The power sums read sigma and h straight off their variables, so the
+    `range` cells are what checks the triangle cells those values equal: a
+    central factorial cell of the first kind without its sign (-1)^(n-k)
+    fails every `range central-cells` cell, and an r-Stirling cell of the
+    second kind one too large in row 7 fails `range r-stirling-cells` cells
+    with n <= 7, and no other cell."""
+    central, r_second = combinatorics.central_factorial_first, combinatorics.r_stirling_second
+    monkeypatch.setattr(combinatorics, "central_factorial_first",
+                        lambda n, k, parity: abs(central(n, k, parity)))
+    failed = {cell for cell, _, _ in run_suite("all").failures}
+    assert failed == {f"range central-cells k={k} n={n}"
+                      for k in range(1, 9) for n in range(1, 11)}
+    monkeypatch.setattr(combinatorics, "central_factorial_first", central)
+    monkeypatch.setattr(combinatorics, "r_stirling_second",
+                        lambda n, k, r: r_second(n, k, r) + (n == 7))
+    failed = {cell for cell, _, _ in run_suite("all").failures}
+    assert "range r-stirling-cells k=1 n=7 r=4" in failed
+    assert failed <= {f"range r-stirling-cells k={k} n={n} r={(n + 1) // 2}"
+                      for k in range(1, 9) for n in range(1, 8)}
 
 
 def test_concordance_brute_cells_do_not_check_brute_against_itself(monkeypatch):
