@@ -7,7 +7,8 @@ Subcommands:
   zeta      --k K
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
-ValueError from the library) or out of memory.
+ValueError from the library), out of memory, or an input too large for
+the interpreter (an OverflowError).
 All numeric output is exact, and printed in full; the only floating-point
 rendering is the clearly-marked decimal approximation printed by `zeta`.
 """
@@ -15,7 +16,6 @@ rendering is the clearly-marked decimal approximation printed by `zeta`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List
@@ -61,6 +61,7 @@ def render_table(family: str, rows: int, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(row) for row in data) + "\n"
     if fmt == "json":
+        import json  # here, so that no other call pays for the import
         return json.dumps({"family": family, "rows": data}) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -149,6 +150,8 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(str(exc))
     except MemoryError:
         parser.exit(2, f"{parser.prog}: error: out of memory; try smaller inputs\n")
+    except OverflowError as exc:
+        parser.exit(2, f"{parser.prog}: error: input too large: {exc}\n")
     finally:
         set_limit(limit)
 

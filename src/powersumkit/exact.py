@@ -1,17 +1,18 @@
 """Exact arithmetic substrate: dense integer polynomials and rational
 multiples of even powers of pi.
 
-Everything here is immutable and pure; no floating point appears in any
-computation path: _exact turns away floats and bools with a TypeError.
-_check_int is the one rule for the int arguments of the whole package, and
-this is the only module that raises TypeError.  _quotient is the one
-integrality rule: an exact division whose nonzero remainder raises
-ConsistencyError rather than being rounded.
+No value here is changed once built (Poly and PiPower are plain __slots__
+classes, so the code keeps this rather than enforcing it), and every
+function is pure; no floating point appears in any computation path:
+_exact turns away floats and bools with a TypeError.  _check_int is the
+one rule for the int arguments of the whole package, and this is the only
+module that raises TypeError.  _quotient is the one integrality rule: an
+exact division whose nonzero remainder raises ConsistencyError rather than
+being rounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -96,17 +97,25 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
 class PiPower:
-    """Exact value ``coeff * pi**(2*half_exponent)``."""
+    """Exact value ``coeff * pi**(2*half_exponent)``.
 
-    coeff: Fraction
-    half_exponent: int = 0
+    Equal to a PiPower with the same coeff and half_exponent, and to
+    nothing else.  A plain class, neither hashable nor frozen; nothing
+    assigns to its fields after __init__."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _exact(self.coeff))
-        if type(self.half_exponent) is not int or self.half_exponent < 0:
-            _check_int("half_exponent", self.half_exponent, 0)
+    __slots__ = ("coeff", "half_exponent")
+
+    def __init__(self, coeff: Scalar, half_exponent: int = 0):
+        self.coeff = _exact(coeff)
+        if type(half_exponent) is not int or half_exponent < 0:
+            _check_int("half_exponent", half_exponent, 0)
+        self.half_exponent = half_exponent
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PiPower):
+            return NotImplemented
+        return self.coeff == other.coeff and self.half_exponent == other.half_exponent
 
     def __repr__(self) -> str:
         if self.half_exponent == 0:

@@ -9,8 +9,6 @@ aside) ends its suite with one failed cell, and the other suites still run.
 from __future__ import annotations
 
 import time
-import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
@@ -26,15 +24,15 @@ from .sequences import sequence
 __all__ = ["VerifyReport", "SUITES", "run_suite"]
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    cells: int = 0
-    failures: List[Tuple[str, str, str]] = field(default_factory=list)  # (cell, expected, actual)
-    elapsed: float = 0.0
-
-    def __post_init__(self):
-        _check_int("cells", self.cells, 0)
+    def __init__(self, suite: str, cells: int = 0,
+                 failures: Optional[List[Tuple[str, str, str]]] = None,
+                 elapsed: float = 0.0):
+        _check_int("cells", cells, 0)
+        self.suite = suite
+        self.cells = cells
+        self.failures = [] if failures is None else failures  # (cell, expected, actual)
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:
@@ -70,6 +68,7 @@ def _suite(name: str, k: Optional[int] = None, n: Optional[int] = None):
             except MemoryError:
                 raise
             except Exception as exc:
+                import traceback  # only a suite that raises pays for the import
                 where = traceback.extract_tb(exc.__traceback__)[-1].name
                 report.cells += 1
                 report.failures.append((f"{name} raised", "no exception",

@@ -204,6 +204,17 @@ def test_out_of_memory_is_exit_2_without_traceback():
     assert proc.stderr.count("\n") == 1 and "out of memory" in proc.stderr
 
 
+@pytest.mark.parametrize("method", ["odd-bernoulli-poly", "triangular-binomial"])
+def test_k_too_large_to_index_is_exit_2_without_traceback(capsys, method):
+    """A k past the largest list size is an OverflowError inside the
+    library: exit 2 and one `error:` line, not exit 1 with a traceback."""
+    assert run(["powersum", "--k", str(10 ** 21), "--n", "1", "--method", method]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("powersumkit: error:")
+    assert "Traceback" not in err
+
+
 def _number(lo: int, hi: int, *extra: str):
     """An option value: mostly an int in [lo, hi], else one of `extra` or junk."""
     junk = st.sampled_from(extra + ("", "x", "2.5", "0x10", "--"))

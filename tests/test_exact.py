@@ -83,6 +83,26 @@ class TestPiPower:
         with pytest.raises(ValueError):
             PiPower(Fraction(1), -1)
 
+    def test_equal_only_when_coeff_and_exponent_are(self):
+        assert PiPower(Fraction(1, 6), 1) == PiPower(Fraction(1, 6), 1)
+        assert PiPower(2, 1) == PiPower(Fraction(2), 1)
+        assert PiPower(Fraction(1, 6), 1) != PiPower(Fraction(1, 6), 2)
+        assert PiPower(Fraction(1, 6), 1) != PiPower(Fraction(1, 7), 1)
+        assert not PiPower(Fraction(1, 6), 1) == PiPower(Fraction(1, 6), 0)
+
+    @pytest.mark.parametrize("other", [Fraction(3, 4), (Fraction(3, 4), 1), (Fraction(3, 4),)])
+    def test_unequal_to_a_plain_value(self, other):
+        """A tuple or a Fraction holding the same value is not a PiPower."""
+        for value in (PiPower(Fraction(3, 4)), PiPower(Fraction(3, 4), 1)):
+            assert value != other and other != value
+            assert not value == other and not other == value
+
+    def test_repr(self):
+        assert repr(PiPower(Fraction(3, 4))) == "PiPower(3/4)"
+        assert repr(PiPower(-2)) == "PiPower(-2)"
+        assert repr(PiPower(Fraction(1, 6), 1)) == "PiPower(1/6 * pi^2)"
+        assert repr(PiPower(Fraction(1, 90), 2)) == "PiPower(1/90 * pi^4)"
+
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True])
 @pytest.mark.parametrize("make", [

@@ -1,8 +1,9 @@
 """Rules over the package as a whole: its public surface, the one rule for
 int arguments, the source conventions README states (no assert, no
 unbounded lru_cache, no function that calls itself, no recurrence table
-whose step reads another table, no TypeError raised outside exact), and
-an import that fills no cache."""
+whose step reads another table, no TypeError raised outside exact), an
+import that fills no cache, and a CLI import that loads no stdlib module
+only some calls use."""
 
 import ast
 import inspect
@@ -203,3 +204,29 @@ def test_importing_the_cli_fills_no_cache():
     caches = json.loads(proc.stdout)
     assert len(caches) >= 6  # four tables and two point caches
     assert {name: info for name, info in caches.items() if info != [0, 0, 0]} == {}
+
+
+# the modules a fresh interpreter loads for `import powersumkit.cli` and
+# build_parser(), beyond those that argparse, fractions and enum load there
+# themselves; that baseline follows the interpreter's own import graph
+_CLI_IMPORTS = """
+import sys
+import argparse, enum, fractions
+before = set(sys.modules)
+import powersumkit.cli
+powersumkit.cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_unused_stdlib():
+    """dataclasses (with inspect), json and traceback serve only some calls,
+    so the CLI imports them where they are used, not at start."""
+    src = str(Path(powersumkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "powersumkit.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json", "traceback"} == set()
