@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Dict, List
 
 from . import combinatorics as cmb
 from . import powersums as ps
+from .exact import _check_int
 from .verify import SUITES, run_suite
 from .zeta import zeta_even_exact
 
@@ -31,27 +32,30 @@ ROWS_CAP = 64
 PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
-# family -> the cells of row n, looked up in cmb at call time so that a
-# rebinding of its functions (perfbench/tracer.py) is seen
-_FAMILIES: Dict[str, Callable[[int], List[object]]] = {
-    "stirling1": lambda n: [cmb.stirling_first_unsigned(n, k) for k in range(n + 1)],
-    "stirling2": lambda n: [cmb.stirling_second(n, k) for k in range(n + 1)],
-    "ls1": lambda n: [cmb.legendre_stirling_first(n, k) for k in range(n + 1)],
-    "ls2": lambda n: [cmb.legendre_stirling_second(n, k) for k in range(n + 1)],
-    "central_u": lambda n: [cmb.central_factorial_first(n, k, "even") for k in range(n + 1)],
-    "central_U": lambda n: [cmb.central_factorial_second(n, k, "even") for k in range(n + 1)],
-    "central_v": lambda n: [cmb.central_factorial_first(n, k, "odd") for k in range(n + 1)],
-    "central_V": lambda n: [cmb.central_factorial_second(n, k, "odd") for k in range(n + 1)],
-    "bernoulli": lambda n: [cmb.bernoulli_number(n)],
+def _sigma_h(family: str) -> Callable[[int], list[list[int]]]:
+    return lambda rows: cmb.sigma_h_triangle(family, rows)
+
+
+# family -> rows 0..rows of its table, looked up in cmb at call time so
+# that a rebinding of its functions (perfbench/tracer.py) is seen.  The six
+# sigma/h families are read off one DP pass each, the others cell by cell.
+_FAMILIES: dict[str, Callable[[int], list[list[object]]]] = {
+    "stirling1": lambda rows: [[cmb.stirling_first_unsigned(n, k) for k in range(n + 1)]
+                               for n in range(rows + 1)],
+    "stirling2": lambda rows: [[cmb.stirling_second(n, k) for k in range(n + 1)]
+                               for n in range(rows + 1)],
+    **{family: _sigma_h(family) for family in cmb.SIGMA_H_FAMILIES},
+    "bernoulli": lambda rows: [[cmb.bernoulli_number(n)] for n in range(rows + 1)],
 }
 
 
-def table_rows(family: str, rows: int) -> List[List[str]]:
+def table_rows(family: str, rows: int) -> list[list[str]]:
     """Rows 0..rows as exact decimal / fraction strings."""
-    row = _FAMILIES.get(family)
-    if row is None:
+    table = _FAMILIES.get(family)
+    if table is None:
         raise ValueError(f"unknown family {family!r}")
-    return [[str(cell) for cell in row(n)] for n in range(rows + 1)]
+    _check_int("rows", rows, 0)
+    return [[str(cell) for cell in row] for row in table(rows)]
 
 
 def render_table(family: str, rows: int, fmt: str) -> str:
@@ -137,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: List[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # print exact values of any size: lift the int-to-str digit limit, if any

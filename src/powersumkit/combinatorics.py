@@ -36,7 +36,12 @@ are kept in two point caches of fixed size, _sigma_int and _h_int, keyed
 on the variable set (tag, n, start) and the index.  The triangle cells read
 them with a sign and an index shift; the four sigma/h power sums of
 powersums read them directly, so verify's `range` cells check those signs
-and shifts.
+and shifts.  SIGMA_H_FAMILIES gives each of the six sigma/h families of the
+`table` command its kind, tag and shift, read by the central factorial and
+Legendre-Stirling cells and by sigma_h_triangle, which reads a whole
+triangle off one pass of the symfuncs prefix DP and no point cache: row n
+of a first-kind family, or column k of a second-kind one, is the prefix
+after the variables it uses.
 """
 
 from __future__ import annotations
@@ -44,12 +49,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, lcm
-from typing import List, Optional, Tuple
 
 from .exact import Poly, Scalar, _check_int, _quotient
 from .sequences import sequence
-from .symfuncs import complete_prefix, elementary_prefix
+from .symfuncs import complete_prefix, complete_prefixes, elementary_prefix, elementary_prefixes
 from .tables import recurrence
 
 __all__ = [
@@ -63,6 +68,7 @@ __all__ = [
     "central_factorial_second",
     "legendre_stirling_first",
     "legendre_stirling_second",
+    "sigma_h_triangle",
     "bernoulli_number",
     "bernoulli_polynomial",
 ]
@@ -73,7 +79,7 @@ class Parity(str, Enum):
     ODD = "odd"
 
 
-def _outside(n: int, k: int, r: Optional[int] = None) -> int:
+def _outside(n: int, k: int, r: int | None = None) -> int:
     """The triangle rule for a cell that failed the inline test (ints and
     0 <= k <= n): TypeError or ValueError for a bad n, k or r, else 0."""
     _check_int("n", n, 0)
@@ -94,7 +100,7 @@ def binomial(n: int, k: int) -> int:
 
 # -- classical Stirling triangles (one row step, weight n-1 or k) -----------
 
-def _triangle_row(rows, weight) -> List[Tuple[int, ...]]:
+def _triangle_row(rows, weight) -> list[tuple[int, ...]]:
     # T(n, k) = T(n-1, k-1) + weight(n, k) * T(n-1, k), T(0, 0) = 1.  One
     # row, n = len(rows), per step: row n reads only row n-1, so a longer
     # block would save nothing
@@ -109,7 +115,7 @@ def _triangle_row(rows, weight) -> List[Tuple[int, ...]]:
 
 
 @recurrence
-def _stirling1_row(rows, j: int) -> List[Tuple[int, ...]]:
+def _stirling1_row(rows, j: int) -> list[tuple[int, ...]]:
     return _triangle_row(rows, lambda n, k: n - 1)
 
 
@@ -121,7 +127,7 @@ def stirling_first_unsigned(n: int, k: int) -> int:
 
 
 @recurrence
-def _stirling2_row(rows, j: int) -> List[Tuple[int, ...]]:
+def _stirling2_row(rows, j: int) -> list[tuple[int, ...]]:
     return _triangle_row(rows, lambda n, k: k)
 
 
@@ -135,10 +141,10 @@ def stirling_second(n: int, k: int) -> int:
 # -- symmetric-function-backed families -------------------------------------
 
 # entries per sigma/h point cache: `verify --suite all` keeps 0.6-0.9k
-# (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits), while a
-# 64-row table reads 2145 distinct values and hits about once.  The caches
-# are keyed on the arguments (tag, n, start) of sequence and m, so a hit
-# builds no sequence.
+# (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits); the `table`
+# command reads no point cache (sigma_h_triangle).  The caches are keyed on
+# the arguments (tag, n, start) of sequence and m, so a hit builds no
+# sequence.
 POINT_CACHE_SIZE = 1 << 13
 
 
@@ -172,9 +178,65 @@ def r_stirling_second(n: int, k: int, r: int) -> int:
     return _h_int("naturals", k, r, n - k)
 
 
-# parity -> (tag, extra): the odd-index families take `extra` more squares.
-# A Parity equals its value, so .get finds both; Parity() raises for the rest.
-_CENTRAL_SQUARES = {Parity.EVEN: ("squares", 0), Parity.ODD: ("odd_squares", 1)}
+# family -> (first kind, tag, extra).  Row n of a first-kind family is
+# (-1)^m sigma_m, m = n - k, of the first n-1+extra terms of `tag`; column k
+# of a second-kind family is h_m of its first k+extra terms.  The keys are
+# the families of the CLI's `table`.
+SIGMA_H_FAMILIES = {
+    "ls1": (True, "doubled_triangulars", 0),
+    "ls2": (False, "doubled_triangulars", 0),
+    "central_u": (True, "squares", 0),
+    "central_U": (False, "squares", 0),
+    "central_v": (True, "odd_squares", 1),
+    "central_V": (False, "odd_squares", 1),
+}
+
+
+def _sigma_h_cell(family: str, n: int, k: int) -> int:
+    """Cell (n, k), 0 <= k <= n, of a family of SIGMA_H_FAMILIES."""
+    first, tag, extra = SIGMA_H_FAMILIES[family]
+    m = n - k
+    if first:
+        val = _sigma_int(tag, max(n - 1 + extra, 0), 1, m)
+        return -val if m % 2 else val
+    return _h_int(tag, k + extra, 1, m)
+
+
+def sigma_h_triangle(family: str, rows: int) -> list[list[int]]:
+    """Rows 0..rows of a family of SIGMA_H_FAMILIES, read off one pass of
+    its prefix DP cut at rows, each entry through _quotient."""
+    if family not in SIGMA_H_FAMILIES:
+        raise ValueError(f"unknown sigma/h family {family!r}")
+    _check_int("rows", rows, 0)
+    first, tag, extra = SIGMA_H_FAMILIES[family]
+    what = f"{'sigma' if first else 'h'} of {tag}"
+
+    def entry(x: Fraction) -> int:
+        return _quotient(x.numerator, x.denominator, what)
+
+    if first:
+        # row n reads the prefix after max(n - 1 + extra, 0) variables: one
+        # more than row n - 1 reads whenever n - 1 + extra is positive
+        prefixes = elementary_prefixes(sequence(tag, max(rows - 1 + extra, 0)), rows)
+        sig = next(prefixes)
+        table = []
+        for n in range(rows + 1):
+            if n - 1 + extra > 0:
+                sig = next(prefixes)
+            table.append([(-1) ** m * entry(sig[m]) for m in range(n, -1, -1)])
+        return table
+    # column k reads the prefix after k + extra variables
+    table = [[] for _ in range(rows + 1)]
+    prefixes = islice(complete_prefixes(sequence(tag, rows + extra), rows), extra, None)
+    for k, h in enumerate(prefixes):
+        for n in range(k, rows + 1):
+            table[n].append(entry(h[n - k]))
+    return table
+
+
+# parity -> the first- and second-kind central factorial families.  A Parity
+# equals its value, so .get finds both; Parity() raises for the rest.
+_CENTRAL = {Parity.EVEN: ("central_u", "central_U"), Parity.ODD: ("central_v", "central_V")}
 
 
 def central_factorial_first(n: int, k: int, parity: Parity) -> int:
@@ -183,12 +245,10 @@ def central_factorial_first(n: int, k: int, parity: Parity) -> int:
     EVEN: u(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, ..., (n-1)^2).
     ODD:  v(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, 3^2, ..., (2n-1)^2).
     """
-    tag, extra = _CENTRAL_SQUARES.get(parity) or _CENTRAL_SQUARES[Parity(parity)]
+    family = (_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[0]
     if type(n) is not int or type(k) is not int or not 0 <= k <= n:
         return _outside(n, k)
-    m = n - k
-    val = _sigma_int(tag, max(n - 1 + extra, 0), 1, m)
-    return -val if m % 2 else val
+    return _sigma_h_cell(family, n, k)
 
 
 def central_factorial_second(n: int, k: int, parity: Parity) -> int:
@@ -197,10 +257,10 @@ def central_factorial_second(n: int, k: int, parity: Parity) -> int:
     EVEN: U(n, k) = h_{n-k}(1^2, ..., k^2).
     ODD:  V(n, k) = h_{n-k}(1^2, 3^2, ..., (2k+1)^2).
     """
-    tag, extra = _CENTRAL_SQUARES.get(parity) or _CENTRAL_SQUARES[Parity(parity)]
+    family = (_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[1]
     if type(n) is not int or type(k) is not int or not 0 <= k <= n:
         return _outside(n, k)
-    return _h_int(tag, k + extra, 1, n - k)
+    return _sigma_h_cell(family, n, k)
 
 
 def legendre_stirling_first(n: int, j: int) -> int:
@@ -208,9 +268,7 @@ def legendre_stirling_first(n: int, j: int) -> int:
     Ps_n^(j) = (-1)^(n-j) sigma_{n-j}(2, 6, ..., (n-1)n)."""
     if type(n) is not int or type(j) is not int or not 0 <= j <= n:
         return _outside(n, j)
-    m = n - j
-    val = _sigma_int("doubled_triangulars", max(n - 1, 0), 1, m)
-    return -val if m % 2 else val
+    return _sigma_h_cell("ls1", n, j)
 
 
 def legendre_stirling_second(n: int, j: int) -> int:
@@ -218,12 +276,12 @@ def legendre_stirling_second(n: int, j: int) -> int:
     PS_n^(j) = h_{n-j}(2, 6, ..., j(j+1))."""
     if type(n) is not int or type(j) is not int or not 0 <= j <= n:
         return _outside(n, j)
-    return _h_int("doubled_triangulars", j, 1, n - j)
+    return _sigma_h_cell("ls2", n, j)
 
 
 # -- Bernoulli numbers and polynomials --------------------------------------
 
-def _tangent_numbers(m: int) -> List[int]:
+def _tangent_numbers(m: int) -> list[int]:
     """[T_0, T_1, ..., T_m] (T_0 = 0), the tangent numbers, by Brent and
     Harvey's in-place integer recurrence (arXiv:1108.0286, Algorithm
     TangentNumbers): O(m^2) small-by-large products, no division."""
@@ -240,7 +298,7 @@ def _tangent_numbers(m: int) -> List[int]:
 
 
 @recurrence
-def _bernoulli(terms, j: int) -> List[Tuple[Fraction, int]]:
+def _bernoulli(terms, j: int) -> list[tuple[Fraction, int]]:
     # (B_k, D_k) with D_k = lcm(D_(k-1), den B_k), the lcm of the
     # denominators of B_0..B_k.  B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1,
     # and from the tangent numbers B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
@@ -272,7 +330,7 @@ def bernoulli_number(k: int) -> Fraction:
     return _bernoulli(k)[0]
 
 
-def _scaled_bernoulli(k: int) -> Tuple[int, List[int]]:
+def _scaled_bernoulli(k: int) -> tuple[int, list[int]]:
     """(D, [D B_0, ..., D B_k]) with D the lcm of the denominators of
     B_0..B_k: the Bernoulli numbers as ints over one common denominator."""
     d = _bernoulli(k)[1]

@@ -13,10 +13,10 @@ being rounded.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = ["ConsistencyError", "Poly", "PiPower"]
 
@@ -34,7 +34,7 @@ def _exact(x: Scalar) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-def _check_int(name: str, value: int, least: Optional[int] = None) -> None:
+def _check_int(name: str, value: int, least: int | None = None) -> None:
     """The rule for every int argument: an int and not a bool (nor any other
     subclass), else TypeError, and at least `least` when one is given, else
     ValueError.  Hot callers test `type(value) is int` inline first."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb, factorial
-from typing import Dict
 
 from .combinatorics import (
     _h_int,
@@ -258,7 +257,7 @@ def compute(method: Method, k: int, n: int, r: int = 1):
     return fn(k, n)
 
 
-def concordance(k: int, n: int, r: int = 1) -> Dict[Method, int]:
+def concordance(k: int, n: int, r: int = 1) -> dict[Method, int]:
     """Every plain power-sum method that takes (k, n, r), after checking the
     query against brute's contract, the widest."""
     _check_query("brute", k, n, r)

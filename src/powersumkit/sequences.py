@@ -9,8 +9,6 @@ The terms are ints.  n >= 0 and start >= 1 are checked.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .exact import _check_int
 
 __all__ = ["sequence"]
@@ -24,7 +22,7 @@ _TERMS = {
 }
 
 
-def sequence(tag: str, n: int, start: int = 1) -> Tuple[int, ...]:
+def sequence(tag: str, n: int, start: int = 1) -> tuple[int, ...]:
     """The terms start..n of the sequence named `tag`."""
     if tag not in _TERMS:
         raise ValueError(f"unknown sequence tag {tag!r}")

@@ -2,10 +2,16 @@
 the Newton-Girard machinery over exact finite sequences.
 
 Variable lists are any iterable of ints / Fractions, such as the tuples of
-sequences.sequence (a float or a bool raises TypeError).  The prefix DPs
-always return Fractions, even when integer-valued, so Fraction variables
-take the same code path; integer-valued callers check unit denominators at
-their own boundary (exact._quotient, ConsistencyError).
+sequences.sequence (a float or a bool raises TypeError).  There is one
+prefix DP per kind, elementary_prefixes and complete_prefixes, each a
+generator of the prefix after 0, 1, 2, ... variables;
+elementary_prefix and complete_prefix are their last states, and
+combinatorics.sigma_h_triangle reads a whole triangle off one pass.  The
+generators are not exported: a generator checks nothing until it is first
+advanced, so their callers check M.  The
+prefix DPs always give Fractions, even when integer-valued, so Fraction
+variables take the same code path; integer-valued callers check unit
+denominators at their own boundary (exact._quotient, ConsistencyError).
 power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
 sums and h_inverse_squares_check only build its sigma and h, four of the
 power sums straight off their variable sets, and verify's `range` cells
@@ -19,8 +25,8 @@ sigma prefix and one h prefix, which verify reads once per variable set.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, List, Sequence
 
 from .exact import Poly, Scalar, _check_int, _exact
 
@@ -34,29 +40,49 @@ __all__ = [
 ]
 
 
-def elementary_prefix(xs: Iterable[Scalar], M: int) -> List[Fraction]:
-    """[sigma_0, ..., sigma_M] by the one-variable-at-a-time product DP.
+def elementary_prefixes(xs: Iterable[Scalar], M: int) -> Iterator[list[Fraction]]:
+    """[sigma_0, ..., sigma_M] of the first 0, 1, 2, ... variables of xs, by
+    the one-variable-at-a-time product DP.  One list is yielded, updated in
+    place after each yield.
 
     Entries with index above the number of variables are zero.
     """
-    _check_int("M", M, 0)
     sig = [Fraction(1)] + [Fraction(0)] * M
+    yield sig
     for x in xs:
         x = _exact(x)
         for m in range(M, 0, -1):
             sig[m] += x * sig[m - 1]
-    return sig
+        yield sig
 
 
-def complete_prefix(xs: Iterable[Scalar], M: int) -> List[Fraction]:
-    """[h_0, ..., h_M] by the DP h_m <- h_m + x * h_{m-1} (h from the
-    current, already-updated row: each variable may repeat)."""
-    _check_int("M", M, 0)
+def complete_prefixes(xs: Iterable[Scalar], M: int) -> Iterator[list[Fraction]]:
+    """[h_0, ..., h_M] of the first 0, 1, 2, ... variables of xs, by the DP
+    h_m <- h_m + x * h_{m-1} (h from the current, already-updated row: each
+    variable may repeat).  One list is yielded, updated in place after each
+    yield."""
     h = [Fraction(1)] + [Fraction(0)] * M
+    yield h
     for x in xs:
         x = _exact(x)
         for m in range(1, M + 1):
             h[m] += x * h[m - 1]
+        yield h
+
+
+def elementary_prefix(xs: Iterable[Scalar], M: int) -> list[Fraction]:
+    """[sigma_0, ..., sigma_M] of all of xs: the last state of the DP."""
+    _check_int("M", M, 0)
+    for sig in elementary_prefixes(xs, M):
+        pass
+    return sig
+
+
+def complete_prefix(xs: Iterable[Scalar], M: int) -> list[Fraction]:
+    """[h_0, ..., h_M] of all of xs: the last state of the DP."""
+    _check_int("M", M, 0)
+    for h in complete_prefixes(xs, M):
+        pass
     return h
 
 
@@ -80,7 +106,7 @@ def power_sum_from_sigma_h(sigma: Sequence, h: Sequence):
     return total
 
 
-def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction]:
+def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> list[Fraction]:
     """[p_1, ..., p_K] by forward substitution through the unit
     lower-triangular Newton-Girard system.
 
@@ -96,7 +122,7 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
         raise ValueError("sigma[0] must be 1")
     sig += [0] * (K + 1 - len(sig))
 
-    p: List[Fraction] = []
+    p: list[Fraction] = []
     for m in range(1, K + 1):
         acc = m * sig[m] * (1 if (m - 1) % 2 == 0 else -1)
         # inner sum is empty when m = 1
@@ -107,7 +133,7 @@ def newton_girard_power_sums(sigma: Sequence[Fraction], K: int) -> List[Fraction
     return p
 
 
-def orthogonality_residuals(xs: Iterable[Scalar], K: int) -> List[Fraction]:
+def orthogonality_residuals(xs: Iterable[Scalar], K: int) -> list[Fraction]:
     """[r_0, ..., r_K] with r_k = sum_{i=0}^{k} (-1)^i sigma_i h_{k-i}, so
     r_0 = 1 and every other r_k = 0 (E(-t) H(t) = 1).  One sigma prefix and
     one h prefix, both cut at K, serve every k: a prefix cut at K starts

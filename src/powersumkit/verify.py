@@ -9,9 +9,9 @@ aside) ends its suite with one failed cell, and the other suites still run.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
 
 from . import combinatorics as cmb
 from . import powersums as ps
@@ -26,7 +26,7 @@ __all__ = ["VerifyReport", "SUITES", "run_suite"]
 
 class VerifyReport:
     def __init__(self, suite: str, cells: int = 0,
-                 failures: Optional[List[Tuple[str, str, str]]] = None,
+                 failures: list[tuple[str, str, str]] | None = None,
                  elapsed: float = 0.0):
         _check_int("cells", cells, 0)
         self.suite = suite
@@ -53,11 +53,11 @@ class VerifyReport:
                 f"failures={len(self.failures)} elapsed={self.elapsed:.3f}s [{status}]")
 
 
-def _suite(name: str, k: Optional[int] = None, n: Optional[int] = None):
+def _suite(name: str, k: int | None = None, n: int | None = None):
     """Register fn(report, k_max, n_max) as SUITES[name]; k and n are the
     default grid bounds, None where the suite ignores that bound."""
     def wrap(fn):
-        def run(k_max: Optional[int] = None, n_max: Optional[int] = None) -> VerifyReport:
+        def run(k_max: int | None = None, n_max: int | None = None) -> VerifyReport:
             for bound in (k_max, n_max):
                 if bound is not None:
                     _check_int("k_max and n_max", bound, 1)
@@ -81,7 +81,7 @@ def _suite(name: str, k: Optional[int] = None, n: Optional[int] = None):
     return wrap
 
 
-SUITES: Dict[str, Callable[..., VerifyReport]] = {}
+SUITES: dict[str, Callable[..., VerifyReport]] = {}
 
 
 @_suite("concordance", k=12, n=25)
@@ -195,7 +195,7 @@ def _zeta(rep: VerifyReport, k_max, n_max) -> None:
     rep.check("zeta k=3 coeff", Fraction(1, 945), zt.zeta_even_exact(3).coeff)
 
 
-def _bernoulli_by_recurrence(k_max: int) -> List[Fraction]:
+def _bernoulli_by_recurrence(k_max: int) -> list[Fraction]:
     """B_0..B_k_max from the defining recurrence sum_{j<=k} C(k+1, j) B_j = 0,
     a route that reads neither the tangent numbers nor the zeta(2k) table."""
     b = [Fraction(1)]
@@ -230,8 +230,8 @@ def _pn_coeffs(rep: VerifyReport, k_max, n_max) -> None:
             rep.check(f"pn n={n} m={m}", expected, poly.coeffs[m])
 
 
-def run_suite(name: str, k_max: Optional[int] = None,
-              n_max: Optional[int] = None) -> VerifyReport:
+def run_suite(name: str, k_max: int | None = None,
+              n_max: int | None = None) -> VerifyReport:
     """Run one suite, or every suite when name == 'all'."""
     if name == "all":
         total = VerifyReport("all")

@@ -25,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
-from typing import List, Tuple
 
 from .combinatorics import bernoulli_number, bernoulli_polynomial
 from .exact import PiPower, _check_int
@@ -51,7 +50,7 @@ def sigma_inverse_squares(k: int) -> PiPower:
 
 
 @recurrence
-def _zeta(terms, j: int) -> List[Tuple[Fraction, int]]:
+def _zeta(terms, j: int) -> list[tuple[Fraction, int]]:
     # (g_k, d_k) for k = len(terms)..j, with c_k the coefficient of pi^(2k) in
     # zeta(2k) = sum_{m=1}^{k} (-1)^(m-1) (2m pi^(2m)/(2m+1)!)
     #              (1 - 2^(2(m-k)+1)) zeta(2k-2m),  zeta(0) = -1/2,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 from io import StringIO
 from pathlib import Path
 
@@ -13,6 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersumkit.cli import main, render_table, table_rows, _FAMILIES
+from powersumkit.combinatorics import (
+    central_factorial_first,
+    central_factorial_second,
+    legendre_stirling_first,
+    legendre_stirling_second,
+)
 from powersumkit.goldens import LS_FIRST_ROWS_0_TO_7, LS_SECOND_ROWS_0_TO_7
 from powersumkit.powersums import Method
 from powersumkit.verify import SUITES
@@ -26,7 +33,33 @@ def run(argv):
         return exc.code
 
 
+# each sigma/h family of `table` -> its cell function
+SIGMA_H_CELLS = {
+    "ls1": legendre_stirling_first,
+    "ls2": legendre_stirling_second,
+    "central_u": partial(central_factorial_first, parity="even"),
+    "central_U": partial(central_factorial_second, parity="even"),
+    "central_v": partial(central_factorial_first, parity="odd"),
+    "central_V": partial(central_factorial_second, parity="odd"),
+}
+
+
 class TestTable:
+    @pytest.mark.parametrize("family", sorted(SIGMA_H_CELLS))
+    def test_sigma_h_table_equals_its_cells(self, family):
+        """A sigma/h table is read off one DP pass; the cells read the
+        point caches, one prefix per cell."""
+        cell = SIGMA_H_CELLS[family]
+        assert table_rows(family, 24) == [[str(cell(n, k)) for k in range(n + 1)]
+                                          for n in range(25)]
+
+    def test_rows_follow_the_int_rule(self):
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError, match="rows must be an int"):
+                table_rows("ls2", bad)
+        with pytest.raises(ValueError, match="rows must be >= 0"):
+            table_rows("ls2", -1)
+
     def test_ls1_rows7_matches_golden(self, capsys):
         assert run(["table", "--family", "ls1", "--rows", "7"]) == 0
         lines = capsys.readouterr().out.splitlines()

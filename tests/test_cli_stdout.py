@@ -30,7 +30,7 @@ def sweep() -> list:
     argvs = [f"table --family {family} --rows {rows} --format {fmt}"
              for family in sorted(_FAMILIES) for rows in (0, 1, 7, 12)
              for fmt in ("plain", "csv", "json")]
-    argvs += [f"table --family {family} --rows 64" for family in ("stirling1", "stirling2", "bernoulli")]
+    argvs += [f"table --family {family} --rows 64" for family in sorted(_FAMILIES)]
     argvs += [f"powersum --k {k} --n {n}" for k in range(7) for n in range(1, 9)]
     argvs += [f"powersum --k {k} --n {n} --r {r}"
               for k in range(1, 4) for n in (3, 5) for r in range(2, n + 1)]

@@ -17,6 +17,7 @@ from powersumkit.combinatorics import (
     legendre_stirling_second,
     r_stirling_first,
     r_stirling_second,
+    sigma_h_triangle,
     stirling_first_unsigned,
     stirling_second,
     _sigma_int,
@@ -203,17 +204,70 @@ SIGMA_H_TRIANGLES = {
 }
 
 
+def _recurrence_rows(first, weight, last):
+    """Rows first..last of T(n, k) = T(n-1, k-1) + w(n, k) T(n-1, k), with
+    row `first` equal to delta(k, first)."""
+    row = [int(k == first) for k in range(first + 1)]
+    for n in range(first, last + 1):
+        if n > first:
+            prev = row + [0]
+            row = [(prev[k - 1] if k else 0) + weight(n, k) * prev[k] for k in range(n + 1)]
+        yield n, row
+
+
 @pytest.mark.parametrize("name", sorted(SIGMA_H_TRIANGLES))
 def test_sigma_h_families_follow_their_triangle_recurrences(name):
     """Rows first..24, with row `first` (r for the r-Stirling numbers, else
     0) equal to delta(k, first)."""
     cell, first, weight = SIGMA_H_TRIANGLES[name]
-    row = [int(k == first) for k in range(first + 1)]
-    for n in range(first, 25):
-        if n > first:
-            prev = row + [0]
-            row = [(prev[k - 1] if k else 0) + weight(n, k) * prev[k] for k in range(n + 1)]
+    for n, row in _recurrence_rows(first, weight, 24):
         assert [cell(n, k) for k in range(n + 1)] == row, f"row {n}"
+
+
+# each family of the `table` command -> its cells' entry in SIGMA_H_TRIANGLES
+TABLE_FAMILIES = {
+    "ls1": "legendre_stirling_first",
+    "ls2": "legendre_stirling_second",
+    "central_u": "central_factorial_first even",
+    "central_U": "central_factorial_second even",
+    "central_v": "central_factorial_first odd",
+    "central_V": "central_factorial_second odd",
+}
+
+
+def test_table_families_are_the_sigma_h_families():
+    assert sorted(combinatorics.SIGMA_H_FAMILIES) == sorted(TABLE_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+def test_sigma_h_triangle_follows_the_recurrence_to_row_64(family):
+    """The one-pass triangle, rows 0..64, against the same recurrences:
+    a depth the cell-by-cell check above cannot reach cheaply."""
+    _, first, weight = SIGMA_H_TRIANGLES[TABLE_FAMILIES[family]]
+    table = sigma_h_triangle(family, 64)
+    assert len(table) == 65
+    for n, row in _recurrence_rows(first, weight, 64):
+        assert table[n] == row, f"row {n}"
+
+
+def test_sigma_h_triangle_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="unknown sigma/h family 'stirling1'"):
+        sigma_h_triangle("stirling1", 3)
+    with pytest.raises(ValueError, match="rows must be >= 0"):
+        sigma_h_triangle("ls1", -1)
+    for bad in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            sigma_h_triangle("ls2", bad)
+
+
+@pytest.mark.parametrize("family", ["ls1", "central_V"])
+def test_non_integer_triangle_entry_is_consistency_error(family, monkeypatch):
+    """Every entry of a one-pass triangle goes through the integrality
+    check, as every cell does."""
+    monkeypatch.setattr(combinatorics, "sequence",
+                        lambda tag, n: tuple(Fraction(1, i * i) for i in range(1, n + 1)))
+    with pytest.raises(ConsistencyError):
+        sigma_h_triangle(family, 4)
 
 
 # Every triangle cell function and binomial, the r-Stirling ones aside,

@@ -2,8 +2,8 @@
 int arguments, the source conventions README states (no assert, no
 unbounded lru_cache, no function that calls itself, no recurrence table
 whose step reads another table, no TypeError raised outside exact), an
-import that fills no cache, and a CLI import that loads no stdlib module
-only some calls use."""
+import that fills no cache, and a CLI import that loads neither typing nor
+a stdlib module only some calls use."""
 
 import ast
 import inspect
@@ -12,12 +12,12 @@ import os
 import subprocess
 import sys
 import types
+from collections.abc import Iterable, Sequence
 from contextlib import redirect_stdout
 from enum import Enum
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
 
 import powersumkit
 from powersumkit import cli, combinatorics, exact, powersums, sequences, symfuncs, verify, zeta
@@ -83,14 +83,14 @@ def test_every_export_has_a_caller():
     assert sorted(name for code, name in exported.items() if code not in called) == []
 
 
-INT_TYPES = (int, Optional[int])
+INT_TYPES = (int, int | None)
 NOT_INTS = (True, 2.0, Fraction(2))
 # a valid argument for each parameter of a public function, so that a call
 # fails only through the argument under test: by the parameter's type, or by
-# its name for a str (a suite name or a sequence tag)
-VALID = {int: 2, Optional[int]: 2, Method: Method.BRUTE, Parity: Parity.EVEN,
+# its name for a str (a suite name, a sequence tag or a sigma/h family)
+VALID = {int: 2, int | None: 2, Method: Method.BRUTE, Parity: Parity.EVEN,
          exact.Scalar: Fraction(1, 2), Iterable[exact.Scalar]: (1, 2), Sequence[Fraction]: [1]}
-VALID_STR = {"name": "zeta", "tag": "naturals"}
+VALID_STR = {"name": "zeta", "tag": "naturals", "family": "ls1"}
 
 
 def _accepts(call) -> bool:
@@ -219,14 +219,24 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_importing_the_cli_loads_no_unused_stdlib():
-    """dataclasses (with inspect), json and traceback serve only some calls,
-    so the CLI imports them where they are used, not at start."""
+def _cli_imports(*flags: str) -> set:
     src = str(Path(powersumkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _CLI_IMPORTS], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", _CLI_IMPORTS], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(proc.stdout.split())
     assert "powersumkit.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "json", "traceback"} == set()
+    return loaded
+
+
+def test_importing_the_cli_loads_no_unused_stdlib():
+    """dataclasses (with inspect), json and traceback serve only some calls,
+    so the CLI imports them where they are used, not at start."""
+    assert _cli_imports() & {"dataclasses", "inspect", "json", "traceback"} == set()
+
+
+def test_importing_the_cli_loads_no_typing():
+    """Annotations are builtin generics, `X | None` and collections.abc, so
+    nothing loads typing.  Under -S no `site` module has loaded it first."""
+    assert "typing" not in _cli_imports("-S")

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from powersumkit.sequences import sequence
 from powersumkit.symfuncs import (
+    complete_prefixes,
+    elementary_prefixes,
     complete_prefix,
     elementary_prefix,
     newton_girard_power_sums,
@@ -58,6 +61,22 @@ def test_elementary_m_zero():
 
 def test_elementary_empty_sequence():
     assert elementary_prefix([], 4) == [1, 0, 0, 0, 0]
+
+
+@given(small_vars, st.integers(min_value=0, max_value=5))
+def test_prefix_dps_yield_the_prefix_after_each_variable(xs, M):
+    """State i of each DP is sigma_m / h_m of the first i variables, by
+    direct sums over subsets and multisets; the last state is the prefix."""
+    sigmas = [list(s) for s in elementary_prefixes(xs, M)]
+    hs = [list(h) for h in complete_prefixes(xs, M)]
+    assert len(sigmas) == len(hs) == len(xs) + 1
+    for i in range(len(xs) + 1):
+        head = xs[:i]
+        assert sigmas[i] == [sum(map(prod, combinations(head, m))) for m in range(M + 1)]
+        assert hs[i] == [sum(map(prod, combinations_with_replacement(head, m)))
+                         for m in range(M + 1)]
+    assert sigmas[-1] == elementary_prefix(xs, M)
+    assert hs[-1] == complete_prefix(xs, M)
 
 
 def test_complete_naturals_2():
