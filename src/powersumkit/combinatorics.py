@@ -7,7 +7,9 @@ negative n raises ValueError, and a lookup outside 0 <= k <= n returns 0
 (matching the summation limits the identities rely on); the r-Stirling
 families also raise ValueError for r outside [1, n].  Each cell function
 tests ints and 0 <= k <= n inline, as every warm lookup passes there, and
-hands any other cell to _outside, the rule itself.  A parity is a Parity or
+hands any other cell to _outside, the rule itself; the central factorial
+and Legendre-Stirling cells leave that test to _sigma_h_cell, after
+resolving the parity.  A parity is a Parity or
 its value, "even" or "odd".
 
 The r-Stirling, central factorial, and Legendre-Stirling families are
@@ -32,16 +34,17 @@ each step reads only its own table.  Only this module reads those terms:
 bernoulli_number takes B_k, and _scaled_bernoulli gives D_k with the ints
 D_k B_0..D_k B_k, over which bernoulli_polynomial and the two
 Bernoulli-form power sums of powersums sum in ints.  The sigma/h values
-are kept in two point caches of fixed size, _sigma_int and _h_int, keyed
-on the variable set (tag, n, start) and the index.  The triangle cells read
-them with a sign and an index shift; the four sigma/h power sums of
-powersums read them directly, so verify's `range` cells check those signs
-and shifts.  SIGMA_H_FAMILIES gives each of the six sigma/h families of the
-`table` command its kind, tag and shift, read by the central factorial and
-Legendre-Stirling cells and by sigma_h_triangle, which reads a whole
-triangle off one pass of the symfuncs prefix DP and no point cache: row n
-of a first-kind family, or column k of a second-kind one, is the prefix
-after the variables it uses.
+are kept in one point cache of fixed size, _sigma_h_int, keyed on the
+kind ("sigma" or "h"), the variable set (tag, n, start) and the index.
+The triangle cells read it with an index shift, and _sigma_h_cell and
+sigma_h_triangle give a sigma family its sign (-1)^m; the four sigma/h
+power sums of powersums read it directly, so verify's `range` cells check
+those signs and shifts.
+SIGMA_H_FAMILIES gives each of the six sigma/h families of the `table`
+command its kind, tag and shift, read by _sigma_h_cell and by
+sigma_h_triangle, which reads a whole triangle off one pass of the symfuncs
+prefix DP and no point cache: row n of a sigma family, or column k of an h
+family, is the prefix after the variables it uses.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import comb, lcm
 
 from .exact import Poly, Scalar, _check_int, _quotient
 from .sequences import sequence
-from .symfuncs import complete_prefix, complete_prefixes, elementary_prefix, elementary_prefixes
+from .symfuncs import complete_prefix, elementary_prefix, sigma_h_prefixes
 from .tables import recurrence
 
 __all__ = [
@@ -140,24 +143,20 @@ def stirling_second(n: int, k: int) -> int:
 
 # -- symmetric-function-backed families -------------------------------------
 
-# entries per sigma/h point cache: `verify --suite all` keeps 0.6-0.9k
-# (84% hits) and a 5000-query session 1.4-1.8k (63-68% hits); the `table`
-# command reads no point cache (sigma_h_triangle).  The caches are keyed on
-# the arguments (tag, n, start) of sequence and m, so a hit builds no
+# entries in the sigma/h point cache: `verify --suite all` keeps 1.6k (84%
+# hits) and a 5000-query session 2.8-3.2k (65-67% hits); the `table`
+# command reads no point cache (sigma_h_triangle).  It is keyed on the
+# kind, the arguments (tag, n, start) of sequence and m, so a hit builds no
 # sequence.
-POINT_CACHE_SIZE = 1 << 13
+POINT_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=POINT_CACHE_SIZE)
-def _sigma_int(tag: str, n: int, start: int, m: int) -> int:
-    x = elementary_prefix(sequence(tag, n, start), m)[m]
-    return _quotient(x.numerator, x.denominator, f"sigma_{m} of {tag}")
-
-
-@lru_cache(maxsize=POINT_CACHE_SIZE)
-def _h_int(tag: str, n: int, start: int, m: int) -> int:
-    x = complete_prefix(sequence(tag, n, start), m)[m]
-    return _quotient(x.numerator, x.denominator, f"h_{m} of {tag}")
+def _sigma_h_int(kind: str, tag: str, n: int, start: int, m: int) -> int:
+    """sigma_m (kind "sigma") or h_m (kind "h") of sequence(tag, n, start)."""
+    prefix = elementary_prefix if kind == "sigma" else complete_prefix
+    x = prefix(sequence(tag, n, start), m)[m]
+    return _quotient(x.numerator, x.denominator, f"{kind}_{m} of {tag}")
 
 
 def r_stirling_first(n: int, k: int, r: int) -> int:
@@ -166,7 +165,7 @@ def r_stirling_first(n: int, k: int, r: int) -> int:
     if type(n) is not int or type(k) is not int or not 0 <= k <= n \
             or type(r) is not int or not 1 <= r <= n:
         return _outside(n, k, r)
-    return _sigma_int("naturals", n - 1, r, n - k)
+    return _sigma_h_int("sigma", "naturals", n - 1, r, n - k)
 
 
 def r_stirling_second(n: int, k: int, r: int) -> int:
@@ -175,31 +174,34 @@ def r_stirling_second(n: int, k: int, r: int) -> int:
     if type(n) is not int or type(k) is not int or not 0 <= k <= n \
             or type(r) is not int or not 1 <= r <= n:
         return _outside(n, k, r)
-    return _h_int("naturals", k, r, n - k)
+    return _sigma_h_int("h", "naturals", k, r, n - k)
 
 
-# family -> (first kind, tag, extra).  Row n of a first-kind family is
-# (-1)^m sigma_m, m = n - k, of the first n-1+extra terms of `tag`; column k
-# of a second-kind family is h_m of its first k+extra terms.  The keys are
-# the families of the CLI's `table`.
+# family -> (kind, tag, extra).  Row n of a sigma family is (-1)^m sigma_m,
+# m = n - k, of the first n-1+extra terms of `tag`; column k of an h family
+# is h_m of its first k+extra terms.  The keys are the families of the
+# CLI's `table`.
 SIGMA_H_FAMILIES = {
-    "ls1": (True, "doubled_triangulars", 0),
-    "ls2": (False, "doubled_triangulars", 0),
-    "central_u": (True, "squares", 0),
-    "central_U": (False, "squares", 0),
-    "central_v": (True, "odd_squares", 1),
-    "central_V": (False, "odd_squares", 1),
+    "ls1": ("sigma", "doubled_triangulars", 0),
+    "ls2": ("h", "doubled_triangulars", 0),
+    "central_u": ("sigma", "squares", 0),
+    "central_U": ("h", "squares", 0),
+    "central_v": ("sigma", "odd_squares", 1),
+    "central_V": ("h", "odd_squares", 1),
 }
 
 
 def _sigma_h_cell(family: str, n: int, k: int) -> int:
-    """Cell (n, k), 0 <= k <= n, of a family of SIGMA_H_FAMILIES."""
-    first, tag, extra = SIGMA_H_FAMILIES[family]
+    """Cell (n, k) of a family of SIGMA_H_FAMILIES under the triangle rule."""
+    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
+        return _outside(n, k)
+    kind, tag, extra = SIGMA_H_FAMILIES[family]
     m = n - k
-    if first:
-        val = _sigma_int(tag, max(n - 1 + extra, 0), 1, m)
-        return -val if m % 2 else val
-    return _h_int(tag, k + extra, 1, m)
+    if kind == "h":
+        return _sigma_h_int("h", tag, k + extra, 1, m)
+    # row 0 is sigma_0 = 1 of no terms
+    val = _sigma_h_int("sigma", tag, n - 1 + extra if n else 0, 1, m)
+    return -val if m % 2 else val
 
 
 def sigma_h_triangle(family: str, rows: int) -> list[list[int]]:
@@ -208,16 +210,16 @@ def sigma_h_triangle(family: str, rows: int) -> list[list[int]]:
     if family not in SIGMA_H_FAMILIES:
         raise ValueError(f"unknown sigma/h family {family!r}")
     _check_int("rows", rows, 0)
-    first, tag, extra = SIGMA_H_FAMILIES[family]
-    what = f"{'sigma' if first else 'h'} of {tag}"
+    kind, tag, extra = SIGMA_H_FAMILIES[family]
+    what = f"{kind} of {tag}"
 
     def entry(x: Fraction) -> int:
         return _quotient(x.numerator, x.denominator, what)
 
-    if first:
+    if kind == "sigma":
         # row n reads the prefix after max(n - 1 + extra, 0) variables: one
         # more than row n - 1 reads whenever n - 1 + extra is positive
-        prefixes = elementary_prefixes(sequence(tag, max(rows - 1 + extra, 0)), rows)
+        prefixes = sigma_h_prefixes(sequence(tag, max(rows - 1 + extra, 0)), rows, kind)
         sig = next(prefixes)
         table = []
         for n in range(rows + 1):
@@ -227,7 +229,7 @@ def sigma_h_triangle(family: str, rows: int) -> list[list[int]]:
         return table
     # column k reads the prefix after k + extra variables
     table = [[] for _ in range(rows + 1)]
-    prefixes = islice(complete_prefixes(sequence(tag, rows + extra), rows), extra, None)
+    prefixes = islice(sigma_h_prefixes(sequence(tag, rows + extra), rows, kind), extra, None)
     for k, h in enumerate(prefixes):
         for n in range(k, rows + 1):
             table[n].append(entry(h[n - k]))
@@ -245,10 +247,7 @@ def central_factorial_first(n: int, k: int, parity: Parity) -> int:
     EVEN: u(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, ..., (n-1)^2).
     ODD:  v(n, k) = (-1)^(n-k) sigma_{n-k}(1^2, 3^2, ..., (2n-1)^2).
     """
-    family = (_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[0]
-    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
-        return _outside(n, k)
-    return _sigma_h_cell(family, n, k)
+    return _sigma_h_cell((_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[0], n, k)
 
 
 def central_factorial_second(n: int, k: int, parity: Parity) -> int:
@@ -257,25 +256,18 @@ def central_factorial_second(n: int, k: int, parity: Parity) -> int:
     EVEN: U(n, k) = h_{n-k}(1^2, ..., k^2).
     ODD:  V(n, k) = h_{n-k}(1^2, 3^2, ..., (2k+1)^2).
     """
-    family = (_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[1]
-    if type(n) is not int or type(k) is not int or not 0 <= k <= n:
-        return _outside(n, k)
-    return _sigma_h_cell(family, n, k)
+    return _sigma_h_cell((_CENTRAL.get(parity) or _CENTRAL[Parity(parity)])[1], n, k)
 
 
 def legendre_stirling_first(n: int, j: int) -> int:
     """Legendre-Stirling number of the first kind
     Ps_n^(j) = (-1)^(n-j) sigma_{n-j}(2, 6, ..., (n-1)n)."""
-    if type(n) is not int or type(j) is not int or not 0 <= j <= n:
-        return _outside(n, j)
     return _sigma_h_cell("ls1", n, j)
 
 
 def legendre_stirling_second(n: int, j: int) -> int:
     """Legendre-Stirling number of the second kind
     PS_n^(j) = h_{n-j}(2, 6, ..., j(j+1))."""
-    if type(n) is not int or type(j) is not int or not 0 <= j <= n:
-        return _outside(n, j)
     return _sigma_h_cell("ls2", n, j)
 
 

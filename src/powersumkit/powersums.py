@@ -3,7 +3,7 @@ ones share only symfuncs.power_sum_from_sigma_h, and newton-recurrence runs
 symfuncs.newton_girard_power_sums), so concordance is a real check.
 range-r-stirling, even-central, odd-central and triangular-ls are that
 relation over four variable sets: _sigma_h_sum reads their sigma and h
-straight off the sigma/h point caches of combinatorics.
+straight off the sigma/h point cache of combinatorics.
 
 S_k(n) denotes 1^k + 2^k + ... + n^k, with 0^0 = 1 so that S_0(n) = n.
 Rational-returning forms check integrality at the boundary; a non-integer
@@ -16,9 +16,8 @@ from enum import Enum
 from math import comb, factorial
 
 from .combinatorics import (
-    _h_int,
     _scaled_bernoulli,
-    _sigma_int,
+    _sigma_h_int,
     binomial,
     stirling_first_unsigned,
     stirling_second,
@@ -130,8 +129,9 @@ def _sigma_h_sum(tag: str, n: int, start: int, k: int) -> int:
     """p_k = sum_{m=1}^{k} (-1)^(m-1) m sigma_m h_{k-m} over sequence(tag, n,
     start); sigma_m = 0 for m above the number of variables, so it is not read."""
     size = n - start + 1
-    sigma = [_sigma_int(tag, n, start, m) if m <= size else 0 for m in range(1, k + 1)]
-    h = [_h_int(tag, n, start, j) for j in range(k)]
+    sigma = [_sigma_h_int("sigma", tag, n, start, m) if m <= size else 0
+             for m in range(1, k + 1)]
+    h = [_sigma_h_int("h", tag, n, start, j) for j in range(k)]
     return power_sum_from_sigma_h(sigma, h)
 
 

@@ -3,13 +3,13 @@ the Newton-Girard machinery over exact finite sequences.
 
 Variable lists are any iterable of ints / Fractions, such as the tuples of
 sequences.sequence (a float or a bool raises TypeError).  There is one
-prefix DP per kind, elementary_prefixes and complete_prefixes, each a
-generator of the prefix after 0, 1, 2, ... variables;
-elementary_prefix and complete_prefix are their last states, and
+prefix DP, sigma_h_prefixes, a generator of the prefix after 0, 1, 2, ...
+variables; sigma and h differ only in the order of its m loop.
+elementary_prefix and complete_prefix are its last states, and
 combinatorics.sigma_h_triangle reads a whole triangle off one pass.  The
-generators are not exported: a generator checks nothing until it is first
-advanced, so their callers check M.  The
-prefix DPs always give Fractions, even when integer-valued, so Fraction
+generator is not exported: it checks nothing until it is first advanced,
+so its callers check M.  The
+prefix DP always gives Fractions, even when integer-valued, so Fraction
 variables take the same code path; integer-valued callers check unit
 denominators at their own boundary (exact._quotient, ConsistencyError).
 power_sum_from_sigma_h is the one p/sigma/h relation: the Lang-type power
@@ -40,40 +40,30 @@ __all__ = [
 ]
 
 
-def elementary_prefixes(xs: Iterable[Scalar], M: int) -> Iterator[list[Fraction]]:
-    """[sigma_0, ..., sigma_M] of the first 0, 1, 2, ... variables of xs, by
-    the one-variable-at-a-time product DP.  One list is yielded, updated in
-    place after each yield.
+def sigma_h_prefixes(xs: Iterable[Scalar], M: int, kind: str) -> Iterator[list[Fraction]]:
+    """[p_0, ..., p_M] of the first 0, 1, 2, ... variables of xs, with p_m
+    sigma_m for kind "sigma" and h_m for kind "h".  One list is yielded,
+    updated in place after each yield.
 
-    Entries with index above the number of variables are zero.
+    Each variable x takes p_m <- p_m + x * p_{m-1}.  For sigma m runs down,
+    so p_{m-1} is still the row before x; for h it runs up, so p_{m-1}
+    already counts x and a variable may repeat.  Entries of sigma with
+    index above the number of variables are zero.
     """
-    sig = [Fraction(1)] + [Fraction(0)] * M
-    yield sig
+    order = {"sigma": range(M, 0, -1), "h": range(1, M + 1)}[kind]
+    p = [Fraction(1)] + [Fraction(0)] * M
+    yield p
     for x in xs:
         x = _exact(x)
-        for m in range(M, 0, -1):
-            sig[m] += x * sig[m - 1]
-        yield sig
-
-
-def complete_prefixes(xs: Iterable[Scalar], M: int) -> Iterator[list[Fraction]]:
-    """[h_0, ..., h_M] of the first 0, 1, 2, ... variables of xs, by the DP
-    h_m <- h_m + x * h_{m-1} (h from the current, already-updated row: each
-    variable may repeat).  One list is yielded, updated in place after each
-    yield."""
-    h = [Fraction(1)] + [Fraction(0)] * M
-    yield h
-    for x in xs:
-        x = _exact(x)
-        for m in range(1, M + 1):
-            h[m] += x * h[m - 1]
-        yield h
+        for m in order:
+            p[m] += x * p[m - 1]
+        yield p
 
 
 def elementary_prefix(xs: Iterable[Scalar], M: int) -> list[Fraction]:
     """[sigma_0, ..., sigma_M] of all of xs: the last state of the DP."""
     _check_int("M", M, 0)
-    for sig in elementary_prefixes(xs, M):
+    for sig in sigma_h_prefixes(xs, M, "sigma"):
         pass
     return sig
 
@@ -81,7 +71,7 @@ def elementary_prefix(xs: Iterable[Scalar], M: int) -> list[Fraction]:
 def complete_prefix(xs: Iterable[Scalar], M: int) -> list[Fraction]:
     """[h_0, ..., h_M] of all of xs: the last state of the DP."""
     _check_int("M", M, 0)
-    for h in complete_prefixes(xs, M):
+    for h in sigma_h_prefixes(xs, M, "h"):
         pass
     return h
 

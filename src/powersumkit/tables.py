@@ -12,8 +12,7 @@ when the first is cleared; a value only read off a term, such as the
 coefficient of pi^(2k) off a zeta(2k) term, is formed where it is read.
 Every step returns the block of terms that follows the ones it is given,
 and its comment says why the block is as long as it is.  The only other
-caches are the fixed-size point caches on sigma/h values in
-`combinatorics`.
+cache is the fixed-size point cache on sigma/h values in `combinatorics`.
 """
 
 import threading

@@ -48,7 +48,7 @@ class TestTable:
     @pytest.mark.parametrize("family", sorted(SIGMA_H_CELLS))
     def test_sigma_h_table_equals_its_cells(self, family):
         """A sigma/h table is read off one DP pass; the cells read the
-        point caches, one prefix per cell."""
+        point cache, one prefix per cell."""
         cell = SIGMA_H_CELLS[family]
         assert table_rows(family, 24) == [[str(cell(n, k)) for k in range(n + 1)]
                                           for n in range(25)]

@@ -20,7 +20,7 @@ from powersumkit.combinatorics import (
     sigma_h_triangle,
     stirling_first_unsigned,
     stirling_second,
-    _sigma_int,
+    _sigma_h_int,
     _stirling1_row,
 )
 from powersumkit.exact import ConsistencyError
@@ -86,9 +86,18 @@ def test_non_integer_sigma_is_consistency_error(monkeypatch):
     integrality check only through a patched sequence."""
     monkeypatch.setattr(combinatorics, "sequence",
                         lambda tag, n, start: tuple(Fraction(1, i * i) for i in range(start, n + 1)))
-    _sigma_int.cache_clear()
+    _sigma_h_int.cache_clear()
     with pytest.raises(ConsistencyError):
-        _sigma_int("naturals", 3, 1, 1)
+        _sigma_h_int("sigma", "naturals", 3, 1, 1)
+
+
+def test_the_point_cache_keeps_sigma_and_h_apart():
+    """r_stirling_second(5, 3, 1) and r_stirling_first(4, 2, 1) read the
+    same variable set (1, 2, 3) and index m = 2, h_2 = 25 and sigma_2 = 11:
+    only the kind in the key tells the two cache entries apart."""
+    _sigma_h_int.cache_clear()
+    assert r_stirling_second(5, 3, 1) == 25
+    assert r_stirling_first(4, 2, 1) == 11
 
 
 class TestRStirling:

@@ -202,7 +202,7 @@ def test_importing_the_cli_fills_no_cache():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     caches = json.loads(proc.stdout)
-    assert len(caches) >= 6  # four tables and two point caches
+    assert len(caches) >= 5  # four tables and the point cache
     assert {name: info for name, info in caches.items() if info != [0, 0, 0]} == {}
 
 

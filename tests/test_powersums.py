@@ -139,7 +139,7 @@ SIGMA_H_CELLS = ("r_stirling_first", "r_stirling_second", "central_factorial_fir
 
 def test_bernoulli_forms_reach_no_formula_they_are_checked_against(monkeypatch):
     """A formula must not call one it is checked against: with every other
-    method, the sigma/h relation, the sigma/h DPs, the sigma/h point caches
+    method, the sigma/h relation, the sigma/h DPs, the sigma/h point cache
     and the sigma/h cell functions made to raise, and the Bernoulli table
     cold, both Bernoulli forms still give the right value at (5, 7)."""
     def forbidden(*args, **kwargs):
@@ -149,12 +149,12 @@ def test_bernoulli_forms_reach_no_formula_they_are_checked_against(monkeypatch):
     for fn in powersums._METHODS.values():
         if fn not in bernoulli_forms:
             monkeypatch.setattr(powersums, fn.__name__, forbidden)
-    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums", "_sigma_int", "_h_int"):
+    for name in ("power_sum_from_sigma_h", "newton_girard_power_sums", "_sigma_h_int"):
         monkeypatch.setattr(powersums, name, forbidden)
     for name in ("power_sum_from_sigma_h", "newton_girard_power_sums",
-                 "elementary_prefix", "complete_prefix"):
+                 "elementary_prefix", "complete_prefix", "sigma_h_prefixes"):
         monkeypatch.setattr(symfuncs, name, forbidden)
-    for name in ("elementary_prefix", "complete_prefix", *SIGMA_H_CELLS):
+    for name in ("elementary_prefix", "complete_prefix", "sigma_h_prefixes", *SIGMA_H_CELLS):
         monkeypatch.setattr(combinatorics, name, forbidden)
     combinatorics._bernoulli.cache_clear()
     assert s_odd_even_powers_poly(5, 7) == sum((2 * i - 1) ** 10 for i in range(1, 8))

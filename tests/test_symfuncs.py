@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from powersumkit.sequences import sequence
 from powersumkit.symfuncs import (
-    complete_prefixes,
-    elementary_prefixes,
     complete_prefix,
     elementary_prefix,
     newton_girard_power_sums,
     orthogonality_residuals,
     pn_polynomial_coeffs,
     power_sum_from_sigma_h,
+    sigma_h_prefixes,
 )
 
 LIBRARY_TAGS = ["naturals", "squares", "odd_squares", "doubled_triangulars"]
@@ -65,10 +64,11 @@ def test_elementary_empty_sequence():
 
 @given(small_vars, st.integers(min_value=0, max_value=5))
 def test_prefix_dps_yield_the_prefix_after_each_variable(xs, M):
-    """State i of each DP is sigma_m / h_m of the first i variables, by
-    direct sums over subsets and multisets; the last state is the prefix."""
-    sigmas = [list(s) for s in elementary_prefixes(xs, M)]
-    hs = [list(h) for h in complete_prefixes(xs, M)]
+    """State i of the DP in each m order is sigma_m / h_m of the first i
+    variables, by direct sums over subsets and multisets; the last state is
+    the prefix."""
+    sigmas = [list(s) for s in sigma_h_prefixes(xs, M, "sigma")]
+    hs = [list(h) for h in sigma_h_prefixes(xs, M, "h")]
     assert len(sigmas) == len(hs) == len(xs) + 1
     for i in range(len(xs) + 1):
         head = xs[:i]
