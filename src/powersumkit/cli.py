@@ -59,15 +59,15 @@ def table_rows(family: str, rows: int) -> list[list[str]]:
 
 
 def render_table(family: str, rows: int, fmt: str) -> str:
-    data = table_rows(family, rows)
-    if fmt == "plain":
-        return "\n".join(" ".join(row) for row in data) + "\n"
-    if fmt == "csv":
-        return "\n".join(",".join(row) for row in data) + "\n"
+    """The table as text: rows of cells joined by a separator, or JSON.  The
+    format is checked before any cell is built."""
     if fmt == "json":
         import json  # here, so that no other call pays for the import
-        return json.dumps({"family": family, "rows": data}) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        return json.dumps({"family": family, "rows": table_rows(family, rows)}) + "\n"
+    sep = {"plain": " ", "csv": ","}.get(fmt)
+    if sep is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "\n".join(sep.join(row) for row in table_rows(family, rows)) + "\n"
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -83,6 +83,15 @@ class TestTable:
         with pytest.raises(ValueError, match="unknown family 'nope'"):
             render_table("nope", 3, "plain")
 
+    def test_unknown_format_is_a_value_error_before_any_cell(self, monkeypatch):
+        """An unknown format raises before the family's table is built, not
+        after a 64-row DP."""
+        built = []
+        monkeypatch.setitem(_FAMILIES, "ls2", built.append)
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            render_table("ls2", 64, "xml")
+        assert built == []
+
     def test_rows_over_cap_is_usage_error(self):
         assert run(["table", "--family", "stirling2", "--rows", "65"]) == 2
 

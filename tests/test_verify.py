@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from powersumkit import combinatorics, powersums, symfuncs, zeta
+from powersumkit import combinatorics, powersums, symfuncs, verify, zeta
 from powersumkit.cli import main
 from powersumkit.exact import ConsistencyError
 from powersumkit.powersums import Method
@@ -47,6 +48,32 @@ def test_default_grids_keep_the_benchmark_cell_count():
         "concordance": 1850, "orthogonality": 832, "ones": 225, "central": 234,
         "triangular": 144, "ls_tables": 72, "range": 520, "zeta": 33, "bernoulli": 88,
         "pn_coeffs": 78}
+
+
+# sha256 of each suite's cell names at its default grid, joined by "\n"
+# in the order its rows come
+CELL_NAME_HASHES = {
+    "concordance": "2d0019c07bdfd484063271ef51de65f40c9bd18d0ab6aa3f83f3efd23ad228b8",
+    "orthogonality": "9644241ced56dfa2d0101884aae168ad4be7e37e866ef5a5ffba12ddcfa5fa23",
+    "ones": "331f23f17e0b2e18867f5d881a4f9ffcb47edc0689195e1f98a8b1262d0453ea",
+    "central": "6fceef4c3a8f1d37a1a8b62a0b826234972e136d87d0f22a739b8af92e598e67",
+    "triangular": "760a14b32e389b9d8dcbf1bbb9df942aaae5a2300ed15c7bef12da1862fe9052",
+    "ls_tables": "7a48190c6e78fddd7a4ac80e10eccdc68144e3c28d0628cd63b0ca78ca2e9a21",
+    "range": "27968c26d16425d62f533733a6c28c8c258333fd0399f711c8bceda0988a3a22",
+    "zeta": "b4e2faf5c801ce28b54c26c7594f8174ce1beeda2c55b75a15a7be7ca4cd8918",
+    "bernoulli": "e7556d2b5577e1ff02e68cfadba9686d5f100af66a00f29ae8190e18b6746df9",
+    "pn_coeffs": "f8564f8985296988c5c686560ceee4706bbcd8b32daae0f55a34e8a9f6c75279",
+}
+
+
+def test_default_grids_keep_every_cell_name_in_its_order():
+    """A renamed, moved or reordered cell fails here even where the counts
+    hold; the names are read off each suite's row generator, _<suite>."""
+    hashes = {}
+    for name in SUITES:
+        cells = [cell for cell, _, _ in getattr(verify, f"_{name}")()]
+        hashes[name] = hashlib.sha256("\n".join(cells).encode()).hexdigest()
+    assert hashes == CELL_NAME_HASHES
 
 
 def _raise(exc):
